@@ -1,7 +1,10 @@
 """Command-line entry points: run, check, verify, sweep.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime invariant abort
-(partial output is kept), 3 condition-not-satisfied (check only).
+(partial output is kept), 3 a checked condition does not hold (check: the
+governing smallness condition; verify: a self-check). sweep writes one
+directory <param>=<value> per value, with the value in %g form when that
+reads back exactly and in repr form otherwise.
 """
 
 from __future__ import annotations
@@ -143,13 +146,10 @@ def build_summary(resolved: dict, config, result) -> dict:
     return summary
 
 
-def cmd_run(config_path: str, out_dir: str) -> int:
-    try:
-        resolved = load_config(config_path)
-        config = build_sim_config(resolved)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _run_to_dir(resolved: dict, out_dir: str) -> dict:
+    """Run one resolved config into out_dir (records.csv, summary.json) and
+    return the summary; a ConfigError is raised before anything is written."""
+    config = build_sim_config(resolved)
     os.makedirs(out_dir, exist_ok=True)
     result = run_simulation(config)
     write_records_csv(
@@ -159,8 +159,17 @@ def cmd_run(config_path: str, out_dir: str) -> int:
     with open(os.path.join(out_dir, "summary.json"), "w") as out:
         json.dump(summary, out, indent=2)
         out.write("\n")
-    if result.failed:
-        print(f"run aborted: {result.failure}", file=sys.stderr)
+    return summary
+
+
+def cmd_run(config_path: str, out_dir: str) -> int:
+    try:
+        summary = _run_to_dir(load_config(config_path), out_dir)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if not summary["completed"]:
+        print(f"run aborted: {summary['failure']}", file=sys.stderr)
         return EXIT_ABORT
     return EXIT_OK
 
@@ -190,66 +199,68 @@ def cmd_verify(level: str) -> int:
         all_ok &= c.passed
         print(f"{c.name:<{width}}  {status}  ({c.seconds:6.2f}s)  {c.detail}")
     print(f"verification {'passed' if all_ok else 'FAILED'} at level {level!r}")
-    return EXIT_OK if all_ok else 1
+    return EXIT_OK if all_ok else EXIT_NOT_SATISFIED
 
 
 def _set_config_key(doc: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
+    *parents, last = dotted.split(".")
     node = doc
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(dotted, "unknown config key")
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
+    for part in parents:
+        node = node.get(part) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or last not in node:
         raise ConfigError(dotted, "unknown config key")
-    node[parts[-1]] = value
+    node[last] = value
 
 
-def _sweep_worker(args):
-    resolved, out_dir = args
-    config = build_sim_config(resolved)
-    os.makedirs(out_dir, exist_ok=True)
-    result = run_simulation(config)
-    write_records_csv(
-        os.path.join(out_dir, "records.csv"), result.records, len(config.besov_indices)
-    )
-    summary = build_summary(resolved, config, result)
-    with open(os.path.join(out_dir, "summary.json"), "w") as out:
-        json.dump(summary, out, indent=2)
-        out.write("\n")
-    return summary
+def _parse_value(text: str):
+    """A sweep value: int when the text is an integer, float otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _value_label(value) -> str:
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
 
 
 def cmd_sweep(config_path: str, param: str, values: list, out_dir: str) -> int:
     if not values:
         print("sweep error: empty value list", file=sys.stderr)
         return EXIT_CONFIG
+    labels = [_value_label(v) for v in values]
+    if len(set(labels)) != len(labels):
+        print(f"sweep error: duplicate values in {labels}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         resolved = load_config(config_path)
-        jobs = []
+        docs = []
         for value in values:
             doc = copy.deepcopy(resolved)
             _set_config_key(doc, param, value)
             doc = resolve_config(doc)
-            jobs.append((doc, os.path.join(out_dir, f"{param}={value:g}")))
+            build_sim_config(doc)  # reject every bad value before any run starts
+            docs.append(doc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     os.makedirs(out_dir, exist_ok=True)
+    dirs = [os.path.join(out_dir, f"{param}={label}") for label in labels]
 
     workers = os.environ.get("THREADS")
     max_workers = int(workers) if workers else (os.cpu_count() or 1)
-    max_workers = max(1, min(max_workers, len(jobs)))
+    max_workers = max(1, min(max_workers, len(docs)))
     if max_workers == 1:
-        summaries = [_sweep_worker(job) for job in jobs]
+        summaries = [_run_to_dir(doc, d) for doc, d in zip(docs, dirs)]
     else:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            summaries = list(pool.map(_sweep_worker, jobs))
+            summaries = list(pool.map(_run_to_dir, docs, dirs))
 
     sweep_summary = {
         "param": param,
         "values": values,
-        "runs": {f"{v:g}": s for v, s in zip(values, summaries)},
+        "runs": dict(zip(labels, summaries)),
     }
     with open(os.path.join(out_dir, "sweep_summary.json"), "w") as out:
         json.dump(sweep_summary, out, indent=2)
@@ -294,7 +305,7 @@ def main(argv=None) -> int:
         return cmd_verify(args.level)
     if args.command == "sweep":
         try:
-            values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+            values = [_parse_value(v) for v in args.values.split(",") if v.strip() != ""]
         except ValueError:
             print(f"sweep error: cannot parse values {args.values!r}", file=sys.stderr)
             return EXIT_CONFIG

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
-from .dynamics import ICRecipe, SimConfig
+from .dynamics import RHO_PRESETS, U_PRESETS, ICRecipe, SimConfig
 from .elliptic import PressureSolveParams
 from .fields import GridSpec
 from .littlewood_paley import BesovIndex
@@ -28,22 +29,19 @@ class ConfigError(ValueError):
 
 _DEFAULTS = {
     "physics": {"alpha": 1.0, "gamma": 1},
-    "grid": {"n": 64, "dealias_fraction": 2.0 / 3.0},
+    "grid": {"n": 64, "dealias_fraction": GridSpec.dealias_fraction},
     "time": {"dt": 1e-3, "t_end": 1.0, "record_every": 1},
     "ic": {
-        "u_preset": "taylor_green",
+        "u_preset": ICRecipe.u_preset,
         "u_params": {},
-        "rho_preset": "constant",
+        "rho_preset": ICRecipe.rho_preset,
         "rho_params": {},
-        "seed": 0,
+        "seed": ICRecipe.seed,
     },
-    "pressure": {"tol": 1e-10, "max_iter": 500},
+    "pressure": asdict(PressureSolveParams()),
     "track": {"besov_indices": [[1, "inf", 1]]},
-    "smallness": {"K": 1.0, "eta": 2.0, "eta_2d": 5.01, "delta": 0.01},
+    "smallness": asdict(SmallnessParams()),
 }
-
-_U_PRESETS = {"taylor_green", "random_shell", "swirl"}
-_RHO_PRESETS = {"constant", "single_mode", "gaussian_bump"}
 
 
 def _require_number(doc: dict, section: str, key: str, lo=None, hi=None, integer=False):
@@ -128,9 +126,9 @@ def resolve_config(doc: dict) -> dict:
     _require_number(merged, "time", "record_every", integer=True, lo=1)
 
     ic = merged["ic"]
-    if ic["u_preset"] not in _U_PRESETS:
+    if ic["u_preset"] not in U_PRESETS:
         raise ConfigError("ic.u_preset", f"unknown preset {ic['u_preset']!r}")
-    if ic["rho_preset"] not in _RHO_PRESETS:
+    if ic["rho_preset"] not in RHO_PRESETS:
         raise ConfigError("ic.rho_preset", f"unknown preset {ic['rho_preset']!r}")
     for key in ("u_params", "rho_params"):
         if not isinstance(ic[key], dict):
@@ -189,11 +187,7 @@ def build_sim_config(resolved: dict) -> SimConfig:
 
 
 def smallness_params(resolved: dict) -> SmallnessParams:
-    s = resolved["smallness"]
-    return SmallnessParams(
-        K=float(s["K"]), eta=float(s["eta"]),
-        eta_2d=float(s["eta_2d"]), delta=float(s["delta"]),
-    )
+    return SmallnessParams(**{key: float(value) for key, value in resolved["smallness"].items()})
 
 
 def load_config(path: str) -> dict:

@@ -20,11 +20,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elliptic import PressureSolveError, PressureSolveParams, solve_pressure
+from .elliptic import PressureSolveError, PressureSolveParams, coefficient_bounds, solve_pressure
 from .fields import (
     GridSpec,
     ScalarField,
     VectorField,
+    _fftn,
     advect,
     advect_vector,
     dealias,
@@ -77,6 +78,7 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.t_end < 0:
             raise ValueError("t_end must be >= 0")
+        _step_count(self.t_end, self.dt)
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -122,7 +124,7 @@ def random_shell(grid: GridSpec, j: int = 2, amplitude: float = 1.0, seed: int =
     prof = bank.phi_profiles[j]
     comps = []
     for _ in range(2):
-        white = np.fft.fftn(rng.standard_normal(grid.shape))
+        white = _fftn(rng.standard_normal(grid.shape))
         comps.append(ScalarField.from_spectrum(grid, white * prof))
     v = leray_project(VectorField(tuple(comps)))
     norm = lp_norm(v, 2)
@@ -211,19 +213,14 @@ def initial_state(config: SimConfig) -> FluidState:
 # tendencies
 
 
-def _damping_coefficient(rho: ScalarField, gamma: int) -> ScalarField | None:
-    """rho^(gamma-1), or None when it is constant (gamma = 1 or uniform rho)."""
-    if gamma == 1:
-        return None
-    return ScalarField.from_values(rho.grid, 1.0 / rho.values)
-
-
 def momentum_forcing(state: FluidState, config: SimConfig) -> VectorField:
     """F = u . grad u + alpha rho^(gamma-1) u, dealiased; div(d_t u) = 0 holds
     because the pressure solve uses div F as its source."""
     adv = advect_vector(state.u, state.u)
-    coeff = _damping_coefficient(state.rho, config.gamma)
-    damp = dealias_vector(state.u) if coeff is None else scale_vector(state.u, coeff)
+    if config.gamma == 1:
+        damp = dealias_vector(state.u)
+    else:
+        damp = scale_vector(state.u, ScalarField.from_values(state.rho.grid, 1.0 / state.rho.values))
     return adv + config.alpha * damp
 
 
@@ -235,13 +232,15 @@ def pressure_gradient(state: FluidState, config: SimConfig) -> VectorField:
 def _velocity_tendency(
     state: FluidState, config: SimConfig, pi_guess: ScalarField | None = None
 ) -> tuple[VectorField, ScalarField]:
+    try:
+        bounds = coefficient_bounds(state.rho)
+    except ValueError as exc:
+        raise InvariantViolation(f"stage {exc} at t = {state.t:.6g}") from None
     forcing = momentum_forcing(state, config)
     sol = solve_pressure(state.rho, forcing, config.pressure, initial_guess=pi_guess)
-    rv = state.rho.values
-    rho_max = float(rv.max())
-    if rho_max - float(rv.min()) <= 1e-14 * rho_max:  # uniform density
-        return -(forcing + sol.grad_pi * (1.0 / rho_max)), sol.pi
-    inv_rho = ScalarField.from_values(state.rho.grid, 1.0 / rv)
+    if bounds.uniform:
+        return -(forcing + sol.grad_pi * bounds.a_star), sol.pi
+    inv_rho = ScalarField.from_values(state.rho.grid, 1.0 / state.rho.values)
     return -(forcing + scale_vector(sol.grad_pi, inv_rho)), sol.pi
 
 
@@ -289,10 +288,37 @@ def rescaled_view(state: FluidState, beta: float) -> tuple[VectorField, VectorFi
 # stepping
 
 
+def _step_count(t_end: float, dt: float) -> int:
+    """Number of steps of size dt to reach t_end, which must be a whole
+    multiple of dt (to 1e-9 relative)."""
+    ratio = t_end / dt
+    n_steps = round(ratio)
+    if abs(ratio - n_steps) > 1e-9 * ratio:
+        raise ValueError(f"t_end = {t_end:g} is not a whole number of steps of dt = {dt:g}")
+    return n_steps
+
+
+def _rk4(rhs, t: float, y: tuple, dt: float) -> tuple:
+    """One classical RK4 step of dy/dt = rhs(t, y) over a tuple of fields,
+    before any truncation of the result. Stages are evaluated in order, so
+    rhs may carry state from one stage to the next. Changing the operand
+    order of the stage arithmetic changes the results in the last bits."""
+    k1 = rhs(t, y)
+    k2 = rhs(t + dt / 2, tuple(a + 0.5 * dt * k for a, k in zip(y, k1)))
+    k3 = rhs(t + dt / 2, tuple(a + 0.5 * dt * k for a, k in zip(y, k2)))
+    k4 = rhs(t + dt, tuple(a + dt * k for a, k in zip(y, k3)))
+    return tuple(
+        a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    )
+
+
 def _check_invariants(state: FluidState) -> None:
     lo, hi = state.rho_bounds
     rho_min = float(state.rho.values.min())
     rho_max = float(state.rho.values.max())
+    if not (math.isfinite(rho_min) and math.isfinite(rho_max)):
+        raise InvariantViolation(f"density not finite at t = {state.t:.6g}")
     if rho_min < lo * (1.0 - DENSITY_DRIFT_TOL) - DENSITY_DRIFT_TOL * hi:
         raise InvariantViolation(
             f"density minimum drifted below its initial bound: "
@@ -305,6 +331,8 @@ def _check_invariants(state: FluidState) -> None:
         )
     u_norm = lp_norm(state.u, 2)
     div_norm = lp_norm(divergence(state.u), 2)
+    if not (math.isfinite(u_norm) and math.isfinite(div_norm)):
+        raise InvariantViolation(f"velocity not finite at t = {state.t:.6g}")
     if div_norm > DIV_DRIFT_TOL * max(u_norm, 1e-300):
         raise InvariantViolation(
             f"divergence drift {div_norm:.3e} exceeds {DIV_DRIFT_TOL:.0e} * |u| "
@@ -324,40 +352,19 @@ def step_rk4(state: FluidState, config: SimConfig) -> FluidState:
             state,
             rho_bounds=(float(state.rho.values.min()), float(state.rho.values.max())),
         )
-    dt = config.dt
     pi_cache: list[ScalarField | None] = [None]
 
-    def stage(s: FluidState) -> tuple[ScalarField, VectorField]:
+    def stage(t: float, y: tuple[ScalarField, VectorField]) -> tuple[ScalarField, VectorField]:
+        s = FluidState(t, *y, rho_bounds=state.rho_bounds)
         # warm-start each stage's pressure solve from the previous stage:
         # the converged potential is guess-independent
         tendency, pi = _velocity_tendency(s, config, pi_cache[0])
         pi_cache[0] = pi
         return density_rhs(s), tendency
 
-    k1r, k1u = stage(state)
-    s2 = FluidState(state.t + dt / 2, state.rho + 0.5 * dt * k1r,
-                    state.u + 0.5 * dt * k1u, rho_bounds=state.rho_bounds)
-    k2r, k2u = stage(s2)
-    s3 = FluidState(state.t + dt / 2, state.rho + 0.5 * dt * k2r,
-                    state.u + 0.5 * dt * k2u, rho_bounds=state.rho_bounds)
-    k3r, k3u = stage(s3)
-    s4 = FluidState(state.t + dt, state.rho + dt * k3r,
-                    state.u + dt * k3u, rho_bounds=state.rho_bounds)
-    k4r, k4u = stage(s4)
-
-    rho_new = dealias(
-        state.rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-    )
-    u_new = leray_project(
-        dealias_vector(state.u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u))
-    )
-    new = FluidState(
-        t=state.t + dt,
-        rho=rho_new,
-        u=u_new,
-        grad_pi=None,
-        rho_bounds=state.rho_bounds,
-    )
+    rho_new, u_new = _rk4(stage, state.t, (state.rho, state.u), config.dt)
+    new = FluidState(t=state.t + config.dt, rho=dealias(rho_new),
+                     u=leray_project(dealias_vector(u_new)), rho_bounds=state.rho_bounds)
     _check_invariants(new)
     return new
 
@@ -386,7 +393,7 @@ def run_simulation(config: SimConfig) -> SimulationResult:
 
     bank = build_filter_bank(config.grid)
     state = initial_state(config)
-    n_steps = int(round(config.t_end / config.dt))
+    n_steps = _step_count(config.t_end, config.dt)
 
     records = []
 
@@ -421,24 +428,20 @@ def solve_linear_transport(
     ScalarField (or is None). Returns [(t, f)] sampled every record_every
     steps. With g = 0 the L^2 norm is conserved up to the RK4 error.
     """
-    grid = f0.grid
 
-    def rhs(t: float, f: ScalarField) -> ScalarField:
-        out = -advect(velocity(t), f)
+    def rhs(t: float, y: tuple[ScalarField]) -> tuple[ScalarField]:
+        out = -advect(velocity(t), y[0])
         if forcing is not None:
             out = out + forcing(t)
-        return out
+        return (out,)
 
-    n_steps = int(round(t_end / dt))
+    n_steps = _step_count(t_end, dt)
     f = dealias(f0)
     trajectory = [(0.0, f)]
     t = 0.0
     for step in range(1, n_steps + 1):
-        k1 = rhs(t, f)
-        k2 = rhs(t + dt / 2, f + 0.5 * dt * k1)
-        k3 = rhs(t + dt / 2, f + 0.5 * dt * k2)
-        k4 = rhs(t + dt, f + dt * k3)
-        f = dealias(f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        (f,) = _rk4(rhs, t, (f,), dt)
+        f = dealias(f)
         t = step * dt
         if step % record_every == 0 or step == n_steps:
             trajectory.append((t, f))

@@ -116,6 +116,17 @@ def tables(grid: GridSpec) -> SpectralTables:
     return _tables_for(grid.n, grid.length, grid.dealias_fraction)
 
 
+def _fftn(values: np.ndarray) -> np.ndarray:
+    """Forward transform of grid samples; every transform in the package goes
+    through this pair, which looks numpy.fft up at call time."""
+    return np.fft.fftn(values)
+
+
+def _ifftn_real(spectrum: np.ndarray) -> np.ndarray:
+    """Inverse of _fftn, real part: the samples of a Hermitian spectrum."""
+    return np.fft.ifftn(spectrum).real
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -162,13 +173,13 @@ class ScalarField:
         # spectra are Hermitian by construction (real samples, real-even or
         # imaginary-odd multipliers); see hermitian_defect for the check
         if self._values is None:
-            self._values = _freeze(np.fft.ifftn(self._spectrum).real)
+            self._values = _freeze(_ifftn_real(self._spectrum))
         return self._values
 
     @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            self._spectrum = _freeze(np.fft.fftn(self._values))
+            self._spectrum = _freeze(_fftn(self._values))
         return self._spectrum
 
     def mean(self) -> float:
@@ -180,19 +191,18 @@ class ScalarField:
     # dealiased_product so the 2/3 rule is explicit at call sites. Linear
     # operations run in whichever representation both operands already have,
     # avoiding FFT round-trips in stage arithmetic.
-    def __add__(self, other: "ScalarField") -> "ScalarField":
+    def _combine(self, other: "ScalarField", op) -> "ScalarField":
         if self._values is not None and other._values is not None:
-            return ScalarField(self.grid, values=self._values + other._values)
+            return ScalarField(self.grid, values=op(self._values, other._values))
         if self._spectrum is not None and other._spectrum is not None:
-            return ScalarField(self.grid, spectrum=self._spectrum + other._spectrum)
-        return ScalarField(self.grid, values=self.values + other.values)
+            return ScalarField(self.grid, spectrum=op(self._spectrum, other._spectrum))
+        return ScalarField(self.grid, values=op(self.values, other.values))
+
+    def __add__(self, other: "ScalarField") -> "ScalarField":
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
-        if self._values is not None and other._values is not None:
-            return ScalarField(self.grid, values=self._values - other._values)
-        if self._spectrum is not None and other._spectrum is not None:
-            return ScalarField(self.grid, spectrum=self._spectrum - other._spectrum)
-        return ScalarField(self.grid, values=self.values - other.values)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar: float) -> "ScalarField":
         scalar = float(scalar)
@@ -305,8 +315,6 @@ def divergence(v: VectorField) -> ScalarField:
 
 def curl2d(v: VectorField) -> ScalarField:
     """Scalar curl d_x(v_y) - d_y(v_x) of a planar field."""
-    if v.grid.dim != 2:
-        raise ValueError("curl2d requires a two-dimensional field")
     t = tables(v.grid)
     spec = t.ddx * v.components[1].spectrum - t.ddy * v.components[0].spectrum
     return ScalarField.from_spectrum(v.grid, spec)
@@ -314,8 +322,6 @@ def curl2d(v: VectorField) -> ScalarField:
 
 def perp_gradient(f: ScalarField) -> VectorField:
     """Rotated gradient (-d_y f, d_x f); always divergence-free."""
-    if f.grid.dim != 2:
-        raise ValueError("perp_gradient requires a two-dimensional field")
     t = tables(f.grid)
     return VectorField(
         (apply_multiplier(f, -t.ddy), apply_multiplier(f, t.ddx)),

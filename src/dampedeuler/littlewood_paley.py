@@ -28,6 +28,7 @@ from .fields import (
     dealias,
     gradient,
     lp_norm,
+    scale_vector,
     tables,
 )
 
@@ -138,11 +139,11 @@ def partition_residual(bank: DyadicFilterBank, retained_only: bool = True) -> fl
     return float(dev.max())
 
 
-def _apply_block(bank: DyadicFilterBank, f: Field, j: int) -> Field:
-    prof = bank.block_profile(j)
+def _multiply(f: Field, mult: np.ndarray) -> Field:
+    """Apply one Fourier multiplier to a scalar field or to each component."""
     if isinstance(f, ScalarField):
-        return apply_multiplier(f, prof)
-    return VectorField(tuple(apply_multiplier(c, prof) for c in f.components))
+        return apply_multiplier(f, mult)
+    return VectorField(tuple(apply_multiplier(c, mult) for c in f.components))
 
 
 def dyadic_block(bank: DyadicFilterBank, f: Field, j: int):
@@ -151,9 +152,7 @@ def dyadic_block(bank: DyadicFilterBank, f: Field, j: int):
     The blocks reconstruct: summing over j = -1..j_max returns f exactly on
     retained modes.
     """
-    if j > bank.j_max:
-        raise ValueError(f"block index {j} exceeds j_max = {bank.j_max}")
-    return _apply_block(bank, f, j)
+    return _multiply(f, bank.block_profile(j))
 
 
 def low_cutoff(bank: DyadicFilterBank, f: Field, j: int):
@@ -164,15 +163,13 @@ def low_cutoff(bank: DyadicFilterBank, f: Field, j: int):
     mult = bank.chi_profile.copy()
     for k in range(0, top + 1):
         mult = mult + bank.phi_profiles[k]
-    if isinstance(f, ScalarField):
-        return apply_multiplier(f, mult)
-    return VectorField(tuple(apply_multiplier(c, mult) for c in f.components))
+    return _multiply(f, mult)
 
 
 def besov_norm(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> float:
     """l^r over blocks of 2^{j s} * ||block_j f||_{L^p}."""
     terms = [
-        2.0 ** (j * idx.s) * lp_norm(_apply_block(bank, f, j), idx.p)
+        2.0 ** (j * idx.s) * lp_norm(_multiply(f, bank.block_profile(j)), idx.p)
         for j in bank.block_indices()
     ]
     if math.isinf(idx.r):
@@ -236,21 +233,9 @@ def commutator_damping_profile(
         bank, v, lower
     ) + besov_norm(bank, gradient(f), lower) * lp_norm(v, math.inf)
 
-    fv = VectorField(
-        tuple(
-            dealias(ScalarField.from_values(bank.grid, f.values * c.values))
-            for c in v.components
-        )
-    )
+    fv = scale_vector(v, f)
     out = []
     for j in bank.block_indices():
-        bv = dyadic_block(bank, v, j)
-        f_bv = VectorField(
-            tuple(
-                dealias(ScalarField.from_values(bank.grid, f.values * c.values))
-                for c in bv.components
-            )
-        )
-        comm = f_bv - dyadic_block(bank, fv, j)
+        comm = scale_vector(dyadic_block(bank, v, j), f) - dyadic_block(bank, fv, j)
         out.append((j, 2.0 ** (j * idx.s) * lp_norm(comm, idx.p), envelope))
     return out

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dampedeuler.fields import GridSpec, ScalarField, VectorField, dealias, tables
+from dampedeuler.fields import GridSpec, ScalarField, VectorField
+from dampedeuler.verify import random_dealiased_field
 
 
 @pytest.fixture(scope="session")
@@ -40,7 +41,6 @@ def fd_gradient6(values, length, axis):
 
 def low_band_field(grid, rng, k_cut=5):
     """Random real field with spectrum confined to |k_i| <= k_cut."""
-    t = tables(grid)
     white = np.fft.fftn(rng.standard_normal(grid.shape))
     modes = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
     mx, my = np.meshgrid(np.abs(modes), np.abs(modes), indexing="ij")
@@ -50,13 +50,10 @@ def low_band_field(grid, rng, k_cut=5):
     return ScalarField.from_values(grid, f.values / peak)
 
 
-def random_band_limited(grid, rng, decay=4.0):
+def random_band_limited(grid, rng):
     """Smooth random scalar with spectrally decaying, dealiased content."""
-    t = tables(grid)
-    white = np.fft.fftn(rng.standard_normal(grid.shape))
-    return dealias(ScalarField.from_spectrum(grid, white * np.exp(-t.k_mag / decay)))
+    return random_dealiased_field(grid, rng)
 
 
-def random_band_limited_vector(grid, rng, decay=4.0):
-    return VectorField((random_band_limited(grid, rng, decay),
-                        random_band_limited(grid, rng, decay)))
+def random_band_limited_vector(grid, rng):
+    return VectorField((random_band_limited(grid, rng), random_band_limited(grid, rng)))

@@ -91,6 +91,13 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "physics.alpha" in capsys.readouterr().err
 
+    def test_t_end_off_the_step_grid_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        write_config(cfg, time={"dt": 0.003, "t_end": 0.01})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "t_end" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_invariant_abort_keeps_partial_output(self, tmp_path, capsys):
         cfg = tmp_path / "abort.json"
         write_config(
@@ -185,6 +192,16 @@ class TestVerifyCommand:
         tampered = type(bank)(bank.grid, bank.j_max, bank.chi_profile, tuple(profiles))
         assert not check_partition_of_unity(bank=tampered).passed
 
+    def test_failed_check_exits_3(self, monkeypatch, capsys):
+        from dampedeuler import cli
+        from dampedeuler.verify import CheckResult
+
+        monkeypatch.setattr(
+            cli, "run_verification", lambda level: [CheckResult("broken", False, "forced")]
+        )
+        assert main(["verify"]) == 3
+        assert "FAIL" in capsys.readouterr().out
+
 
 class TestSweepCommand:
     def test_alpha_sweep_recovers_rates(self, tmp_path):
@@ -217,6 +234,44 @@ class TestSweepCommand:
             "sweep", "--config", str(cfg), "--param", "physics.dragons",
             "--values", "1,2", "--out", str(tmp_path / "o"),
         ]) == 1
+
+    def test_close_values_get_distinct_directories(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("THREADS", "1")
+        cfg = tmp_path / "sweep.json"
+        write_config(cfg, time={"dt": 2e-3, "t_end": 0.0, "record_every": 1})
+        out = tmp_path / "o"
+        assert main([
+            "sweep", "--config", str(cfg), "--param", "physics.alpha",
+            "--values", "0.1,0.1000001", "--out", str(out),
+        ]) == 0
+        assert (out / "physics.alpha=0.1" / "summary.json").exists()
+        assert (out / "physics.alpha=0.1000001" / "summary.json").exists()
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["runs"]["0.1000001"]["config"]["physics"]["alpha"] == 0.1000001
+
+    def test_duplicate_values_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        write_config(cfg)
+        assert main([
+            "sweep", "--config", str(cfg), "--param", "physics.alpha",
+            "--values", "0.5,0.5", "--out", str(tmp_path / "o"),
+        ]) == 1
+        assert "duplicate" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integer_key_can_be_swept(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("THREADS", "1")
+        cfg = tmp_path / "sweep.json"
+        write_config(cfg, time={"dt": 2e-3, "t_end": 0.0, "record_every": 1})
+        out = tmp_path / "o"
+        assert main([
+            "sweep", "--config", str(cfg), "--param", "ic.seed",
+            "--values", "1,2", "--out", str(out),
+        ]) == 0
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["values"] == [1, 2]
+        assert summary["runs"]["2"]["config"]["ic"]["seed"] == 2
+        assert (out / "ic.seed=1" / "records.csv").exists()
 
     def test_density_amplitude_sweep_monotone_condition(self, tmp_path, monkeypatch):
         monkeypatch.setenv("THREADS", "1")

@@ -109,6 +109,63 @@ class TestStepping:
             step_rk4(state, cfg)
 
 
+class TestFailLoudly:
+    def test_nan_velocity_fails_invariant_check(self, grid64):
+        from dampedeuler.dynamics import _check_invariants
+
+        state = initial_state(tg_config())
+        vx = state.u.components[0].values.copy()
+        vx[3, 5] = np.nan
+        bad = FluidState(
+            t=0.5, rho=state.rho, u=VectorField.from_arrays(grid64, vx, state.u.components[1].values),
+            rho_bounds=state.rho_bounds,
+        )
+        with pytest.raises(InvariantViolation, match="velocity not finite at t = 0.5"):
+            _check_invariants(bad)
+
+    @pytest.mark.parametrize("bad_value", [np.nan, 0.0])
+    def test_bad_stage_density_is_an_invariant_violation(self, grid64, bad_value):
+        cfg = tg_config()
+        values = np.ones(grid64.shape)
+        values[7, 2] = bad_value
+        state = FluidState(
+            t=0.25, rho=ScalarField.from_values(grid64, values), u=initial_state(cfg).u,
+            rho_bounds=(1.0, 1.0),
+        )
+        with pytest.raises(InvariantViolation, match="density .* at t = 0.25"):
+            step_rk4(state, cfg)
+
+    def test_t_end_must_be_whole_number_of_steps(self, grid64):
+        with pytest.raises(ValueError, match="t_end"):
+            tg_config(dt=0.003, t_end=0.01)
+        with pytest.raises(ValueError, match="t_end"):
+            solve_linear_transport(
+                lambda t: VectorField.zero(grid64), ScalarField.zero(grid64), t_end=0.01, dt=0.003
+            )
+
+
+class TestTransformCount:
+    """Transforms in one RK4 step at n = 64. These are the counts of the
+    current design; lower them when a change saves transforms."""
+
+    @pytest.mark.parametrize("gamma, ic, expected", [
+        (1, ICRecipe(), 46),
+        (0, ICRecipe(rho_preset="single_mode", rho_params={"k": 1, "amplitude": 0.2}), 238),
+    ])
+    def test_transforms_per_step(self, monkeypatch, gamma, ic, expected):
+        cfg = SimConfig(alpha=1.0, gamma=gamma, grid=GridSpec(n=64), dt=1e-3, t_end=1e-3, ic=ic)
+        state = initial_state(cfg)
+        calls = []
+        for name in ("fftn", "ifftn"):
+            def counted(*args, _transform=getattr(np.fft, name), **kwargs):
+                calls.append(1)
+                return _transform(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        step_rk4(state, cfg)
+        assert len(calls) == expected
+
+
 class TestRunSimulation:
     def test_zero_horizon_single_record(self):
         cfg = tg_config(t_end=0.0, n=32)

@@ -53,6 +53,16 @@ class TestParams:
         with pytest.raises(ValueError):
             solve_pressure(rho, F)
 
+    def test_nan_forcing_fails_before_iterating(self, grid64):
+        rng = np.random.default_rng(0)
+        fx, fy = random_band_limited_vector(grid64, rng).components
+        vx = fx.values.copy()
+        vx[4, 4] = np.nan
+        F = VectorField((ScalarField.from_values(grid64, vx), fy))
+        with pytest.raises(PressureSolveError, match="not finite") as info:
+            solve_pressure(cosine_density(grid64, 0.2), F)
+        assert info.value.iterations <= 1
+
 
 class TestHomogeneousCases:
     def test_divergence_free_forcing(self, grid64):
