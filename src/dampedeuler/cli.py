@@ -12,26 +12,26 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .config import ConfigError, build_sim_config, load_config, resolve_config, smallness_params
+from .config import (ConfigError, build_sim_config, load_config, named_keys, resolve_config,
+                     smallness_params)
 from .diagnostics import (
     InitialNorms,
     bkm_report,
     bkm_tail_geometric,
     energy_balance_residual,
     fit_decay_rate,
+    initial_norms,
     smallness_gamma0_general,
     smallness_gamma1_2d,
     smallness_gamma1_general,
 )
 from .dynamics import initial_state, run_simulation
-from .fields import lp_norm
-from .littlewood_paley import BesovIndex, besov_norm, build_filter_bank
+from .littlewood_paley import build_filter_bank
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -63,22 +63,10 @@ def write_records_csv(path: str, records, n_indices: int) -> None:
             out.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def initial_norms(config) -> InitialNorms:
-    from .fields import ScalarField
-
-    bank = build_filter_bank(config.grid)
-    state = initial_state(config)
-    b1 = BesovIndex(1.0, math.inf, 1.0)
-    rho_m1 = state.rho + ScalarField.constant(config.grid, -1.0)
-    return InitialNorms(
-        u_besov1=besov_norm(bank, state.u, b1),
-        u_l2=lp_norm(state.u, 2),
-        rho_besov1=besov_norm(bank, rho_m1, b1),
-    )
-
-
-def condition_reports(config, params) -> list:
-    norms = initial_norms(config)
+def condition_reports(config, params, norms: InitialNorms | None = None) -> list:
+    """The smallness reports for config, from norms or else its initial state."""
+    if norms is None:
+        norms = initial_norms(initial_state(config), build_filter_bank(config.grid))
     reports = [smallness_gamma1_general(norms, config.alpha, params)]
     if config.gamma == 1:
         reports.append(smallness_gamma1_2d(norms, config.alpha, params))
@@ -122,7 +110,8 @@ def build_summary(resolved: dict, config, result) -> dict:
     }
     if config.alpha > 0:
         params = smallness_params(resolved)
-        summary["conditions"] = [r.as_dict() for r in condition_reports(config, params)]
+        reports = condition_reports(config, params, result.initial_norms)
+        summary["conditions"] = [r.as_dict() for r in reports]
     records = result.records
     if len(records) >= 5:
         summary["decay_fits"]["l2_u"] = _fit_or_none(records, "l2_u")
@@ -148,10 +137,11 @@ def build_summary(resolved: dict, config, result) -> dict:
 
 def _run_to_dir(resolved: dict, out_dir: str) -> dict:
     """Run one resolved config into out_dir (records.csv, summary.json) and
-    return the summary; a ConfigError is raised before anything is written."""
+    return the summary; out_dir is made only once the run has ended."""
     config = build_sim_config(resolved)
+    with named_keys():
+        result = run_simulation(config)
     os.makedirs(out_dir, exist_ok=True)
-    result = run_simulation(config)
     write_records_csv(
         os.path.join(out_dir, "records.csv"), result.records, len(config.besov_indices)
     )
@@ -163,11 +153,7 @@ def _run_to_dir(resolved: dict, out_dir: str) -> dict:
 
 
 def cmd_run(config_path: str, out_dir: str) -> int:
-    try:
-        summary = _run_to_dir(load_config(config_path), out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    summary = _run_to_dir(load_config(config_path), out_dir)
     if not summary["completed"]:
         print(f"run aborted: {summary['failure']}", file=sys.stderr)
         return EXIT_ABORT
@@ -175,16 +161,10 @@ def cmd_run(config_path: str, out_dir: str) -> int:
 
 
 def cmd_check(config_path: str) -> int:
-    try:
-        resolved = load_config(config_path)
-        config = build_sim_config(resolved)
-        if config.alpha <= 0:
-            raise ConfigError("physics.alpha", "condition check requires alpha > 0")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    params = smallness_params(resolved)
-    reports = condition_reports(config, params)
+    resolved = load_config(config_path)
+    config = build_sim_config(resolved)
+    with named_keys():
+        reports = condition_reports(config, smallness_params(resolved))
     print(json.dumps([r.as_dict() for r in reports], indent=2))
     verdict = governing_report(reports, config.gamma)
     return EXIT_OK if verdict.satisfied else EXIT_NOT_SATISFIED
@@ -233,18 +213,12 @@ def cmd_sweep(config_path: str, param: str, values: list, out_dir: str) -> int:
     if len(set(labels)) != len(labels):
         print(f"sweep error: duplicate values in {labels}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        resolved = load_config(config_path)
-        docs = []
-        for value in values:
-            doc = copy.deepcopy(resolved)
-            _set_config_key(doc, param, value)
-            doc = resolve_config(doc)
-            build_sim_config(doc)  # reject every bad value before any run starts
-            docs.append(doc)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    resolved = load_config(config_path)
+    docs = []
+    for value in values:  # reject every bad value before any run starts
+        doc = copy.deepcopy(resolved)
+        _set_config_key(doc, param, value)
+        docs.append(resolve_config(doc))
     os.makedirs(out_dir, exist_ok=True)
     dirs = [os.path.join(out_dir, f"{param}={label}") for label in labels]
 
@@ -297,19 +271,23 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, args.out)
-    if args.command == "check":
-        return cmd_check(args.config)
     if args.command == "verify":
         return cmd_verify(args.level)
-    if args.command == "sweep":
-        try:
-            values = [_parse_value(v) for v in args.values.split(",") if v.strip() != ""]
-        except ValueError:
-            print(f"sweep error: cannot parse values {args.values!r}", file=sys.stderr)
-            return EXIT_CONFIG
-        return cmd_sweep(args.config, args.param, values, args.out)
+    try:
+        if args.command == "run":
+            return cmd_run(args.config, args.out)
+        if args.command == "check":
+            return cmd_check(args.config)
+        if args.command == "sweep":
+            try:
+                values = [_parse_value(v) for v in args.values.split(",") if v.strip() != ""]
+            except ValueError:
+                print(f"sweep error: cannot parse values {args.values!r}", file=sys.stderr)
+                return EXIT_CONFIG
+            return cmd_sweep(args.config, args.param, values, args.out)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -1,30 +1,32 @@
 """Strict JSON run-configuration parsing.
 
-A run is described by one JSON document with fixed sections; unknown keys are
-rejected and every numeric range is validated, so a config that parses is a
-config that runs. The resolved document (defaults filled in) is echoed into
-summary.json to make runs reproducible from their outputs alone.
+A run is described by one JSON document with fixed sections. This module
+checks the document itself (unknown keys, value types, finite numbers, the
+shape of each Besov triple). The range rules live in the types that own each
+parameter (SimConfig, GridSpec, PressureSolveParams, BesovIndex,
+SmallnessParams, dynamics.preset_factories); resolve_config builds them and
+names the dotted key of any ParameterError they raise, so a config that
+resolves is a config that runs. The resolved document (defaults filled in)
+is echoed into summary.json to make runs reproducible from their outputs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 
-from .dynamics import RHO_PRESETS, U_PRESETS, ICRecipe, SimConfig
+from .dynamics import ICRecipe, SimConfig, preset_factories
 from .elliptic import PressureSolveParams
-from .fields import GridSpec
+from .fields import GridSpec, ParameterError
 from .littlewood_paley import BesovIndex
 from .diagnostics import SmallnessParams
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration; key names the offending entry."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(f"{key}: {message}")
-        self.key = key
+class ConfigError(ParameterError):
+    """Invalid run configuration; name is the dotted key of the offending entry."""
 
 
 _DEFAULTS = {
@@ -44,18 +46,43 @@ _DEFAULTS = {
 }
 
 
-def _require_number(doc: dict, section: str, key: str, lo=None, hi=None, integer=False):
-    value = doc[section][key]
+_JSON_TYPES = {str: "string", dict: "object", list: "array"}
+
+
+def _number(value, path: str, inf_ok: bool = False) -> float:
+    """A JSON number that fits a finite float; with inf_ok, also "inf" or Infinity."""
+    if inf_ok and value in ("inf", math.inf):
+        return math.inf
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        expected = 'a finite number or "inf"' if inf_ok else "a finite number"
+        raise ConfigError(path, f"expected {expected}, got {value!r}")
+    return float(value)
+
+
+def _require_type(doc: dict, section: str, key: str) -> None:
+    """The value must have its default's JSON type; numbers must be finite,
+    and integers where the default is one."""
+    default, value = _DEFAULTS[section][key], doc[section][key]
     path = f"{section}.{key}"
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    if integer and int(value) != value:
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(path, f"must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(path, f"must be <= {hi}, got {value}")
-    return int(value) if integer else float(value)
+    if isinstance(default, (int, float)):
+        _number(value, path)
+        if isinstance(default, int) and int(value) != value:
+            raise ConfigError(path, f"expected an integer, got {value!r}")
+    elif not isinstance(value, type(default)):
+        raise ConfigError(path, f"expected a JSON {_JSON_TYPES[type(default)]}, got {value!r}")
+
+
+@contextmanager
+def named_keys():
+    """Re-raise a ParameterError from the block as a ConfigError naming the
+    parameter's dotted key; every key sits in exactly one section."""
+    try:
+        yield
+    except ConfigError:  # already names its key
+        raise
+    except ParameterError as exc:
+        section = next(s for s, keys in _DEFAULTS.items() if exc.name in keys)
+        raise ConfigError(f"{section}.{exc.name}", exc.message) from None
 
 
 def _merge_defaults(doc: dict) -> dict:
@@ -72,15 +99,9 @@ def _merge_defaults(doc: dict) -> dict:
     merged = {}
     for section, defaults in _DEFAULTS.items():
         merged[section] = {**defaults, **doc.get(section, {})}
+        for key in defaults:
+            _require_type(merged, section, key)
     return merged
-
-
-def _parse_extended(value, path: str) -> float:
-    if value == "inf":
-        return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f'expected a number or "inf", got {value!r}')
-    return float(value)
 
 
 def parse_besov_indices(raw, path="track.besov_indices") -> tuple[BesovIndex, ...]:
@@ -88,78 +109,31 @@ def parse_besov_indices(raw, path="track.besov_indices") -> tuple[BesovIndex, ..
         raise ConfigError(path, "expected a non-empty list of [s, p, r] triples")
     out = []
     for i, triple in enumerate(raw):
+        where = f"{path}[{i}]"
         if not isinstance(triple, list) or len(triple) != 3:
-            raise ConfigError(f"{path}[{i}]", f"expected [s, p, r], got {triple!r}")
-        s = triple[0]
-        if isinstance(s, bool) or not isinstance(s, (int, float)):
-            raise ConfigError(f"{path}[{i}]", f"s must be a number, got {s!r}")
-        p = _parse_extended(triple[1], f"{path}[{i}]")
-        r = _parse_extended(triple[2], f"{path}[{i}]")
-        if p < 1 or r < 1:
-            raise ConfigError(f"{path}[{i}]", "p and r must be >= 1")
-        out.append(BesovIndex(float(s), p, r))
+            raise ConfigError(where, f"expected [s, p, r], got {triple!r}")
+        s, p, r = (_number(triple[0], where), _number(triple[1], where, True),
+                   _number(triple[2], where, True))
+        try:
+            out.append(BesovIndex(s, p, r))
+        except ParameterError as exc:
+            raise ConfigError(where, f"{exc.name} {exc.message}") from None
     return tuple(out)
 
 
 def resolve_config(doc: dict) -> dict:
-    """Validate a raw JSON document and fill defaults; raises ConfigError."""
+    """Check a raw JSON document, fill defaults and build the run's objects
+    from it, which apply the range rules; raises ConfigError naming the key.
+    Returns the merged document."""
     merged = _merge_defaults(doc)
-
-    _require_number(merged, "physics", "alpha", lo=0.0)
-    gamma = _require_number(merged, "physics", "gamma", integer=True)
-    if gamma not in (0, 1):
-        raise ConfigError("physics.gamma", f"must be 0 or 1, got {gamma}")
-
-    n = _require_number(merged, "grid", "n", integer=True, lo=8)
-    if n & (n - 1):
-        raise ConfigError("grid.n", f"must be a power of two, got {n}")
-    frac = _require_number(merged, "grid", "dealias_fraction", hi=1.0)
-    if frac <= 0:
-        raise ConfigError("grid.dealias_fraction", "must be in (0, 1]")
-    if int(frac * (n // 2)) < 2:
-        raise ConfigError("grid.dealias_fraction", "dealias cutoff below 2")
-
-    dt = _require_number(merged, "time", "dt")
-    if dt <= 0:
-        raise ConfigError("time.dt", f"must be positive, got {dt}")
-    _require_number(merged, "time", "t_end", lo=0.0)
-    _require_number(merged, "time", "record_every", integer=True, lo=1)
-
-    ic = merged["ic"]
-    if ic["u_preset"] not in U_PRESETS:
-        raise ConfigError("ic.u_preset", f"unknown preset {ic['u_preset']!r}")
-    if ic["rho_preset"] not in RHO_PRESETS:
-        raise ConfigError("ic.rho_preset", f"unknown preset {ic['rho_preset']!r}")
-    for key in ("u_params", "rho_params"):
-        if not isinstance(ic[key], dict):
-            raise ConfigError(f"ic.{key}", "must be a JSON object")
-    if isinstance(ic["seed"], bool) or not isinstance(ic["seed"], int):
-        raise ConfigError("ic.seed", f"must be an integer, got {ic['seed']!r}")
-
-    tol = _require_number(merged, "pressure", "tol")
-    if tol <= 0:
-        raise ConfigError("pressure.tol", "must be positive")
-    _require_number(merged, "pressure", "max_iter", integer=True, lo=1)
-
-    parse_besov_indices(merged["track"]["besov_indices"])
-
-    for key in ("K", "eta", "delta"):
-        val = _require_number(merged, "smallness", key)
-        if val <= 0:
-            raise ConfigError(f"smallness.{key}", "must be positive")
-    eta_2d = _require_number(merged, "smallness", "eta_2d")
-    if eta_2d <= 5.0:
-        raise ConfigError("smallness.eta_2d", "must exceed 5")
-
+    with named_keys():
+        preset_factories(build_sim_config(merged))
+    smallness_params(merged)
     return merged
 
 
 def build_sim_config(resolved: dict) -> SimConfig:
     """Turn a resolved config document into a SimConfig."""
-    grid = GridSpec(
-        n=int(resolved["grid"]["n"]),
-        dealias_fraction=float(resolved["grid"]["dealias_fraction"]),
-    )
     ic = ICRecipe(
         u_preset=resolved["ic"]["u_preset"],
         u_params=dict(resolved["ic"]["u_params"]),
@@ -167,11 +141,14 @@ def build_sim_config(resolved: dict) -> SimConfig:
         rho_params=dict(resolved["ic"]["rho_params"]),
         seed=int(resolved["ic"]["seed"]),
     )
-    try:
+    with named_keys():
         return SimConfig(
             alpha=float(resolved["physics"]["alpha"]),
             gamma=int(resolved["physics"]["gamma"]),
-            grid=grid,
+            grid=GridSpec(
+                n=int(resolved["grid"]["n"]),
+                dealias_fraction=float(resolved["grid"]["dealias_fraction"]),
+            ),
             dt=float(resolved["time"]["dt"]),
             t_end=float(resolved["time"]["t_end"]),
             ic=ic,
@@ -182,12 +159,11 @@ def build_sim_config(resolved: dict) -> SimConfig:
             besov_indices=parse_besov_indices(resolved["track"]["besov_indices"]),
             record_every=int(resolved["time"]["record_every"]),
         )
-    except ValueError as exc:
-        raise ConfigError("<config>", str(exc)) from exc
 
 
 def smallness_params(resolved: dict) -> SmallnessParams:
-    return SmallnessParams(**{key: float(value) for key, value in resolved["smallness"].items()})
+    with named_keys():
+        return SmallnessParams(**{key: float(value) for key, value in resolved["smallness"].items()})
 
 
 def load_config(path: str) -> dict:

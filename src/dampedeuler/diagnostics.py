@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ScalarField, grad_inf, lp_norm
+from .fields import ParameterError, ScalarField, grad_inf, lp_norm
 from .littlewood_paley import BesovIndex, besov_norm
 
 LOG_HUGE = 700.0  # exp threshold before float overflow
@@ -119,8 +119,8 @@ def fit_decay_rate(series, window=None) -> DecayFit:
 class SmallnessParams:
     """Tunable surrogates for the existential constants in the conditions.
 
-    K stands in for the absolute constant; eta is the heterogeneity exponent
-    (must exceed 5 in the planar gamma = 1 condition, where any value
+    K stands in for the absolute constant; eta is the heterogeneity exponent,
+    eta_2d its planar gamma = 1 counterpart, which must exceed 5 (any value
     arbitrarily close to 5 is admissible); delta is the interpolation slack.
     """
 
@@ -130,8 +130,11 @@ class SmallnessParams:
     delta: float = 0.01
 
     def __post_init__(self):
-        if self.K <= 0 or self.eta <= 0 or self.delta <= 0:
-            raise ValueError("K, eta, delta must be positive")
+        for name in ("K", "eta", "delta"):
+            if not getattr(self, name) > 0:
+                raise ParameterError(name, f"must be positive, got {getattr(self, name)}")
+        if not self.eta_2d > 5.0:
+            raise ParameterError("eta_2d", f"must exceed 5 (planar condition), got {self.eta_2d}")
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,17 @@ class InitialNorms:
     @property
     def u_intersection(self) -> float:
         return self.u_l2 + self.u_besov1
+
+
+def initial_norms(state, bank) -> InitialNorms:
+    """The norms of the t = 0 state (rho, u) that the conditions use."""
+    b1 = BesovIndex(1.0, math.inf, 1.0)
+    rho_m1 = state.rho + ScalarField.constant(state.rho.grid, -1.0)
+    return InitialNorms(
+        u_besov1=besov_norm(bank, state.u, b1),
+        u_l2=lp_norm(state.u, 2),
+        rho_besov1=besov_norm(bank, rho_m1, b1),
+    )
 
 
 @dataclass(frozen=True)
@@ -165,6 +179,12 @@ class ConditionReport:
         }
 
 
+def _checked(alpha: float, params: SmallnessParams | None) -> SmallnessParams:
+    if not alpha > 0:
+        raise ParameterError("alpha", f"must be positive for the smallness conditions, got {alpha}")
+    return params or SmallnessParams()
+
+
 def _echo(norms: InitialNorms, alpha: float, params: SmallnessParams) -> dict:
     return {
         "alpha": alpha,
@@ -182,9 +202,7 @@ def smallness_gamma1_general(
 
         (1/alpha) ||u0||_B1 * exp((1 + ||rho0-1||_B1^eta) e^K (||u0||_L2/alpha + 1)) < 2
     """
-    params = params or SmallnessParams()
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    params = _checked(alpha, params)
     if norms.u_besov1 == 0.0:
         lhs = 0.0
     else:
@@ -206,9 +224,7 @@ def smallness_gamma0_general(
         K R e^{K R} ||u0||_{L2 and B1} / alpha < 2
         K R^3 e^{K R} ||u0||_{L2 and B1}^2 / alpha < 4
     """
-    params = params or SmallnessParams()
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    params = _checked(alpha, params)
     big_r = 1.0 + norms.rho_besov1**params.eta
     u = norms.u_intersection
     expkr = _safe_exp(params.K * big_r)
@@ -228,14 +244,10 @@ def smallness_gamma1_2d(
         ||rho0-1||_B1 (1 + ||rho0-1||_B1^eta) ||u0||_{L2 and B1}
             * Phi_K(||u0||_{L2 and B1}) < 4
 
-    with Phi_K(z) = exp(2 K z / alpha) * exp(K exp(K z / alpha)); eta > 5.
+    with Phi_K(z) = exp(2 K z / alpha) * exp(K exp(K z / alpha)); eta = eta_2d > 5.
     """
-    params = params or SmallnessParams()
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    params = _checked(alpha, params)
     eta = params.eta_2d
-    if eta <= 5.0:
-        raise ValueError("the planar condition requires eta > 5")
     u = norms.u_intersection
     if norms.rho_besov1 == 0.0:
         lhs = 0.0

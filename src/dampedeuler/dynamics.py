@@ -14,15 +14,19 @@ tendency (it is not stiff for the coefficient sizes of interest).
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from .diagnostics import InitialNorms, initial_norms, make_record
 from .elliptic import PressureSolveError, PressureSolveParams, coefficient_bounds, solve_pressure
 from .fields import (
     GridSpec,
+    ParameterError,
     ScalarField,
     VectorField,
     _fftn,
@@ -36,7 +40,7 @@ from .fields import (
     perp_gradient,
     scale_vector,
 )
-from .littlewood_paley import BesovIndex
+from .littlewood_paley import BesovIndex, build_filter_bank
 
 DENSITY_DRIFT_TOL = 1e-6
 DIV_DRIFT_TOL = 1e-10
@@ -70,17 +74,17 @@ class SimConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not self.alpha >= 0:
+            raise ParameterError("alpha", f"must be >= 0, got {self.alpha}")
         if self.gamma not in (0, 1):
-            raise ValueError("gamma must be 0 or 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be >= 0")
+            raise ParameterError("gamma", f"must be 0 or 1, got {self.gamma}")
+        if not self.dt > 0:
+            raise ParameterError("dt", f"must be positive, got {self.dt}")
+        if not self.t_end >= 0:
+            raise ParameterError("t_end", f"must be >= 0, got {self.t_end}")
         _step_count(self.t_end, self.dt)
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        if not self.record_every >= 1:
+            raise ParameterError("record_every", f"must be >= 1, got {self.record_every}")
 
 
 @dataclass(frozen=True)
@@ -115,8 +119,6 @@ def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> VectorField:
 
 def random_shell(grid: GridSpec, j: int = 2, amplitude: float = 1.0, seed: int = 0) -> VectorField:
     """Divergence-free random field spectrally confined to dyadic shell j."""
-    from .littlewood_paley import build_filter_bank
-
     bank = build_filter_bank(grid)
     if not 0 <= j <= bank.j_max:
         raise ValueError(f"shell index {j} outside [0, {bank.j_max}]")
@@ -176,23 +178,41 @@ RHO_PRESETS = {
 }
 
 
-def initial_state(config: SimConfig) -> FluidState:
-    """Build the t = 0 state from the config's preset recipe."""
+def preset_factories(config: SimConfig) -> list[partial]:
+    """The velocity and density preset factories of config.ic, with their
+    parameters bound and checked by name; builds no arrays."""
     ic = config.ic
     u_params = dict(ic.u_params or {})
     if ic.u_preset == "random_shell":
         u_params.setdefault("seed", ic.seed)
-    try:
-        u_factory = U_PRESETS[ic.u_preset]
-        rho_factory = RHO_PRESETS[ic.rho_preset]
-    except KeyError as exc:
-        raise ValueError(f"unknown preset {exc.args[0]!r}") from None
-    u = dealias_vector(u_factory(config.grid, **u_params))
-    u = leray_project(u)
-    rho = dealias(rho_factory(config.grid, **(ic.rho_params or {})))
+    factories = []
+    for kind, table, preset, params in (
+        ("u", U_PRESETS, ic.u_preset, u_params),
+        ("rho", RHO_PRESETS, ic.rho_preset, ic.rho_params or {}),
+    ):
+        if preset not in table:
+            raise ParameterError(f"{kind}_preset", f"unknown preset {preset!r}")
+        try:
+            bound = inspect.signature(table[preset]).bind(config.grid, **params)
+        except TypeError as exc:
+            raise ParameterError(f"{kind}_params", f"rejected by preset {preset!r}: {exc}") from None
+        factories.append(partial(table[preset], *bound.args, **bound.kwargs))
+    return factories
+
+
+def initial_state(config: SimConfig) -> FluidState:
+    """Build the t = 0 state from the config's preset recipe."""
+    built = []
+    for kind, factory in zip(("u", "rho"), preset_factories(config)):
+        try:
+            built.append(factory())
+        except ValueError as exc:  # a parameter value the preset rejects
+            raise ParameterError(f"{kind}_params", f"rejected by preset: {exc}") from None
+    u = leray_project(dealias_vector(built[0]))
+    rho = dealias(built[1])
     rho_min = float(rho.values.min())
-    if rho_min <= 0.0:
-        raise ValueError(f"initial density not positive: min = {rho_min:.3e}")
+    if not rho_min > 0.0:  # a NaN minimum fails too
+        raise ParameterError("rho_params", f"initial density not positive: min = {rho_min:.3e}")
 
     cfl = config.dt * lp_norm(u, math.inf) * config.grid.n / config.grid.length
     if cfl > 0.5:
@@ -294,7 +314,7 @@ def _step_count(t_end: float, dt: float) -> int:
     ratio = t_end / dt
     n_steps = round(ratio)
     if abs(ratio - n_steps) > 1e-9 * ratio:
-        raise ValueError(f"t_end = {t_end:g} is not a whole number of steps of dt = {dt:g}")
+        raise ParameterError("t_end", f"{t_end:g} is not a whole number of steps of dt = {dt:g}")
     return n_steps
 
 
@@ -377,6 +397,7 @@ def step_rk4(state: FluidState, config: SimConfig) -> FluidState:
 class SimulationResult:
     records: list  # DiagnosticsRecord rows, in time order
     final_state: FluidState | None
+    initial_norms: InitialNorms  # of the t = 0 state, for the condition reports
     failed: bool = False
     failure: str | None = None
 
@@ -388,11 +409,9 @@ def run_simulation(config: SimConfig) -> SimulationResult:
     On an invariant or solver failure the rows collected so far are returned
     with the failure recorded.
     """
-    from .diagnostics import make_record
-    from .littlewood_paley import build_filter_bank
-
     bank = build_filter_bank(config.grid)
     state = initial_state(config)
+    norms = initial_norms(state, bank)
     n_steps = _step_count(config.t_end, config.dt)
 
     records = []
@@ -410,8 +429,8 @@ def run_simulation(config: SimConfig) -> SimulationResult:
             if step % config.record_every == 0 or step == n_steps:
                 state = record(state)
     except (InvariantViolation, PressureSolveError) as exc:
-        return SimulationResult(records, state, failed=True, failure=str(exc))
-    return SimulationResult(records, state, failed=False, failure=None)
+        return SimulationResult(records, state, norms, failed=True, failure=str(exc))
+    return SimulationResult(records, state, norms, failed=False, failure=None)
 
 
 def solve_linear_transport(

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (
+    ParameterError,
     ScalarField,
     VectorField,
     _fftn,
@@ -45,10 +46,10 @@ class PressureSolveParams:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not self.tol > 0:
+            raise ParameterError("tol", f"must be positive, got {self.tol}")
+        if not self.max_iter >= 1:
+            raise ParameterError("max_iter", f"must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,17 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+class ParameterError(ValueError):
+    """A parameter out of range, raised by the type that owns it; name names it."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(name, message)  # both args, so the error pickles
+        self.name, self.message = name, message
+
+    def __str__(self) -> str:
+        return f"{self.name}: {self.message}"
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform n-by-n periodic grid on [0, length)^2.
@@ -44,16 +55,14 @@ class GridSpec:
     dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"n must be a power of two >= 8, got {self.n}")
+        if not (self.n >= 8 and (self.n & (self.n - 1)) == 0):
+            raise ParameterError("n", f"must be a power of two >= 8, got {self.n}")
         if self.dim != 2:
             raise ValueError("only two-dimensional grids are supported")
         if not 0.0 < self.dealias_fraction <= 1.0:
-            raise ValueError("dealias_fraction must lie in (0, 1]")
+            raise ParameterError("dealias_fraction", "must lie in (0, 1]")
         if self.k_max < 2:
-            raise ValueError(
-                f"dealias cutoff k_max = {self.k_max} too small; need >= 2"
-            )
+            raise ParameterError("dealias_fraction", f"gives cutoff k_max = {self.k_max} < 2")
 
     @property
     def k_max(self) -> int:

@@ -22,6 +22,7 @@ import numpy as np
 from .fields import (
     Field,
     GridSpec,
+    ParameterError,
     ScalarField,
     VectorField,
     apply_multiplier,
@@ -69,8 +70,9 @@ class BesovIndex:
     r: float
 
     def __post_init__(self):
-        if self.p < 1 or self.r < 1:
-            raise ValueError("p and r must be >= 1 (math.inf allowed)")
+        for name in ("p", "r"):
+            if not getattr(self, name) >= 1:
+                raise ParameterError(name, f"must be >= 1 (inf allowed), got {getattr(self, name)}")
 
     def lipschitz_embedding(self, dim: int = 2) -> bool:
         """Whether this index guarantees a globally Lipschitz field."""

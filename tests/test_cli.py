@@ -295,3 +295,48 @@ class TestSweepCommand:
             )
             lhs.append(planar["lhs"][0])
         assert lhs[0] < lhs[1] < lhs[2]
+
+
+class TestConfigErrorsAtRunTime:
+    @pytest.mark.parametrize("amplitude", [2.0, math.nan])
+    def test_preset_rejecting_a_value_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, amplitude
+    ):
+        monkeypatch.setenv("THREADS", "2")  # the sweep runs in a process pool
+        cfg = tmp_path / "bad.json"
+        write_config(
+            cfg,
+            time={"t_end": 0.0},
+            ic={"rho_preset": "single_mode", "rho_params": {"amplitude": amplitude}},
+        )
+        out = tmp_path / "o"
+        for argv in (
+            ["run", "--config", str(cfg), "--out", str(out)],
+            ["check", "--config", str(cfg)],
+            ["sweep", "--config", str(cfg), "--param", "physics.alpha",
+             "--values", "0.5,1", "--out", str(tmp_path / "s")],
+        ):
+            assert main(argv) == 1, argv
+            assert "config error: ic.rho_params:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_sweep_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        write_config(cfg)
+        out = tmp_path / "o"
+        assert main([
+            "sweep", "--config", str(cfg), "--param", "physics.alpha",
+            "--values", "nan", "--out", str(out),
+        ]) == 1
+        assert "config error: physics.alpha:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cfl_advisory_once_per_run(self, tmp_path):
+        import warnings
+
+        cfg = tmp_path / "cfl.json"
+        write_config(cfg, time={"dt": 0.2, "t_end": 0.0})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert sum("CFL" in str(w.message) for w in caught) == 1
