@@ -29,9 +29,9 @@ from .fields import (
     ParameterError,
     ScalarField,
     VectorField,
-    _fftn,
     advect,
     advect_vector,
+    apply_multiplier,
     dealias,
     dealias_vector,
     divergence,
@@ -123,12 +123,8 @@ def random_shell(grid: GridSpec, j: int = 2, amplitude: float = 1.0, seed: int =
     if not 0 <= j <= bank.j_max:
         raise ValueError(f"shell index {j} outside [0, {bank.j_max}]")
     rng = np.random.default_rng(seed)
-    prof = bank.phi_profiles[j]
-    comps = []
-    for _ in range(2):
-        white = _fftn(rng.standard_normal(grid.shape))
-        comps.append(ScalarField.from_spectrum(grid, white * prof))
-    v = leray_project(VectorField(tuple(comps)))
+    white = [ScalarField.from_values(grid, rng.standard_normal(grid.shape)) for _ in range(2)]
+    v = leray_project(VectorField(tuple(apply_multiplier(w, bank.phi_profiles[j]) for w in white)))
     norm = lp_norm(v, 2)
     if norm == 0.0:
         raise ValueError("degenerate random shell draw")
@@ -209,12 +205,15 @@ def initial_state(config: SimConfig) -> FluidState:
         except ValueError as exc:  # a parameter value the preset rejects
             raise ParameterError(f"{kind}_params", f"rejected by preset: {exc}") from None
     u = leray_project(dealias_vector(built[0]))
+    u_max = lp_norm(u, math.inf)
+    if not math.isfinite(u_max):
+        raise ParameterError("u_params", f"initial velocity not finite: max |u| = {u_max}")
     rho = dealias(built[1])
     rho_min = float(rho.values.min())
     if not rho_min > 0.0:  # a NaN minimum fails too
         raise ParameterError("rho_params", f"initial density not positive: min = {rho_min:.3e}")
 
-    cfl = config.dt * lp_norm(u, math.inf) * config.grid.n / config.grid.length
+    cfl = config.dt * u_max * config.grid.n / config.grid.length
     if cfl > 0.5:
         warnings.warn(
             f"advisory: CFL number {cfl:.2f} exceeds 0.5; consider a smaller dt",

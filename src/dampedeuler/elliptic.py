@@ -14,19 +14,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .fields import (
     ParameterError,
     ScalarField,
     VectorField,
     _fftn,
+    _half_tables,
     _ifftn_real,
+    _parseval_l2,
     dealiased_product,
     divergence,
     gradient,
     lp_norm,
-    tables,
 )
 from .littlewood_paley import BesovIndex, DyadicFilterBank, besov_norm
 
@@ -91,18 +90,13 @@ class PressureSolution:
 
 
 def operator_residual(rho_inv, pi_hat, rhs_hat, grid):
-    """Spectrum of -div(dealias(a * grad Pi)) - rhs."""
-    t = tables(grid)
+    """Half spectrum of -div(dealias(a * grad Pi)) - rhs."""
+    t = _half_tables(grid)
     gx = _ifftn_real(t.ddx * pi_hat)
     gy = _ifftn_real(t.ddy * pi_hat)
     ax_hat = _fftn(rho_inv * gx) * t.dealias_mask
     ay_hat = _fftn(rho_inv * gy) * t.dealias_mask
     return -(t.ddx * ax_hat + t.ddy * ay_hat) - rhs_hat
-
-
-def _spec_l2(spec: np.ndarray, n_total: int) -> float:
-    """L^2 norm (normalized measure) straight from the spectrum."""
-    return float(np.linalg.norm(spec)) / n_total
 
 
 def solve_pressure(
@@ -123,14 +117,13 @@ def solve_pressure(
     if params is None:
         params = PressureSolveParams()
     grid = rho.grid
-    t = tables(grid)
+    t = _half_tables(grid)
     bounds = coefficient_bounds(rho)
     a = 1.0 / rho.values
     abar = bounds.midpoint
 
-    n_total = grid.n**grid.dim
     rhs_hat = divergence(F).spectrum * t.dealias_mask
-    rhs_norm = _spec_l2(rhs_hat, n_total)
+    rhs_norm = _parseval_l2(rhs_hat)
     if not math.isfinite(rhs_norm):
         raise PressureSolveError(f"pressure source not finite: |div F| = {rhs_norm}", rhs_norm, 0)
 
@@ -160,7 +153,7 @@ def solve_pressure(
             res_hat = abar * t.ksq * pi_hat - rhs_hat
         else:
             res_hat = operator_residual(a, pi_hat, rhs_hat, grid)
-        residual = _spec_l2(res_hat, n_total) / rhs_norm
+        residual = _parseval_l2(res_hat) / rhs_norm
         history.append(residual)
         if residual <= params.tol:
             break

@@ -1,9 +1,12 @@
 """Real scalar and vector fields on a periodic 2-D grid, with spectral calculus.
 
-Differential operators act through the FFT, so they are exact for band-limited
-fields. Nonlinear products are truncated with the 2/3 rule before they re-enter
-any derivative. Norms use the normalized measure (grid averages), so the L^p
-norm of a constant c equals |c| at every resolution.
+Differential operators act through the real FFT, so they are exact for
+band-limited fields. The samples are real, so a spectrum is held on the half
+lattice (n, n//2 + 1): columns k_y = 0..n/2 of the full (n, n) spectrum, whose
+other columns are the complex conjugates of these mirrored through the origin.
+Nonlinear products are truncated with the 2/3 rule before they re-enter any
+derivative. Norms use the normalized measure (grid averages), so the L^p norm
+of a constant c equals |c| at every resolution.
 
 Fields are immutable snapshots: every operation returns a new field, and the
 backing arrays are marked read-only, so fields are safe to share across
@@ -80,6 +83,9 @@ class GridSpec:
 
 
 class SpectralTables(NamedTuple):
+    """Wavenumber tables over the full (n, n) lattice, as public callers index
+    them; the operators read their half-lattice restriction (_half_tables)."""
+
     kx: np.ndarray          # derivative wavenumber, axis 0 (Nyquist zeroed)
     ky: np.ndarray          # derivative wavenumber, axis 1 (Nyquist zeroed)
     k_mag: np.ndarray       # |k| of the raw lattice (for radial filters)
@@ -92,7 +98,7 @@ class SpectralTables(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _tables_for(n: int, length: float, dealias_fraction: float) -> SpectralTables:
-    modes = np.fft.fftfreq(n, d=1.0 / n)  # integer mode indices
+    modes = (np.arange(n) + n // 2) % n - n // 2  # integer mode indices, FFT order
     scale = TWO_PI / length
     raw = scale * modes
     rx, ry = np.meshgrid(raw, raw, indexing="ij")
@@ -125,15 +131,43 @@ def tables(grid: GridSpec) -> SpectralTables:
     return _tables_for(grid.n, grid.length, grid.dealias_fraction)
 
 
+@lru_cache(maxsize=32)
+def _half_tables(grid: GridSpec) -> SpectralTables:
+    """The tables restricted to the half lattice, where every spectrum lives."""
+    return SpectralTables(*(_freeze(a[:, : grid.n // 2 + 1]) for a in tables(grid)))
+
+
+def _half_lattice(grid: GridSpec, a: np.ndarray) -> np.ndarray:
+    """a on the half lattice: a full-lattice array is restricted to columns
+    0..n/2; any shape but these two raises ValueError."""
+    if a.shape == grid.shape:
+        return a[:, : grid.n // 2 + 1]
+    if a.shape != (grid.n, grid.n // 2 + 1):
+        raise ValueError(f"array shape {a.shape} is neither the grid {grid.shape} nor its half lattice")
+    return a
+
+
 def _fftn(values: np.ndarray) -> np.ndarray:
-    """Forward transform of grid samples; every transform in the package goes
+    """Half spectrum of real grid samples; every transform in the package goes
     through this pair, which looks numpy.fft up at call time."""
-    return np.fft.fftn(values)
+    return np.fft.rfftn(values)
 
 
 def _ifftn_real(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse of _fftn, real part: the samples of a Hermitian spectrum."""
-    return np.fft.ifftn(spectrum).real
+    """Inverse of _fftn: the real samples of a half spectrum. Columns 0 and
+    n/2 are read as self-conjugate (see hermitian_defect)."""
+    n = spectrum.shape[0]
+    return np.fft.irfftn(spectrum, s=(n, n), axes=(0, 1))
+
+
+def _parseval_l2(spectrum: np.ndarray) -> float:
+    """L^2 norm (normalized measure) of the real samples of a half spectrum.
+    Columns 1..n/2-1 stand for their mirror columns too and count twice; the
+    self-conjugate columns 0 and n/2 count once."""
+    col0, col_nyquist = spectrum[:, 0], spectrum[:, -1]
+    total = (2.0 * np.vdot(spectrum, spectrum) - np.vdot(col0, col0)
+             - np.vdot(col_nyquist, col_nyquist)).real
+    return math.sqrt(total) / spectrum.shape[0] ** 2
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -147,6 +181,8 @@ class ScalarField:
 
     Either representation may be supplied; the other is derived on first use
     and cached. The pair stays consistent because fields are never mutated.
+    The spectrum is held on the half lattice (n, n//2 + 1); a full-lattice
+    (n, n) spectrum of real samples is accepted and restricted to it.
     """
 
     __slots__ = ("grid", "_values", "_spectrum")
@@ -156,10 +192,12 @@ class ScalarField:
             raise ValueError("need values or spectrum")
         self.grid = grid
         self._values = None if values is None else _freeze(np.asarray(values, dtype=float))
-        self._spectrum = None if spectrum is None else _freeze(np.asarray(spectrum, dtype=complex))
-        for rep in (self._values, self._spectrum):
-            if rep is not None and rep.shape != grid.shape:
-                raise ValueError(f"array shape {rep.shape} != grid shape {grid.shape}")
+        if self._values is not None and self._values.shape != grid.shape:
+            raise ValueError(f"array shape {self._values.shape} != grid shape {grid.shape}")
+        self._spectrum = (
+            None if spectrum is None
+            else _freeze(_half_lattice(grid, np.asarray(spectrum, dtype=complex)))
+        )
 
     @classmethod
     def from_values(cls, grid: GridSpec, values) -> "ScalarField":
@@ -179,8 +217,8 @@ class ScalarField:
 
     @property
     def values(self) -> np.ndarray:
-        # spectra are Hermitian by construction (real samples, real-even or
-        # imaginary-odd multipliers); see hermitian_defect for the check
+        # columns 0 and n/2 stay self-conjugate by construction (real samples,
+        # real-even or imaginary-odd multipliers); see hermitian_defect
         if self._values is None:
             self._values = _freeze(_ifftn_real(self._spectrum))
         return self._values
@@ -296,42 +334,46 @@ Field = ScalarField | VectorField
 
 
 def hermitian_defect(f: ScalarField) -> float:
-    """Deviation of the spectrum from conjugate mirror symmetry, relative to
-    its largest coefficient. Zero-ish for any field with real samples."""
+    """Deviation of the self-conjugate columns k_y = 0 and k_y = n/2 of the
+    half spectrum from X[k, c] = conj(X[-k, c]), relative to the largest
+    coefficient. The inverse transform reads only their Hermitian part, so a
+    defect there is lost; zero-ish for any field with real samples."""
     spec = f.spectrum
-    mirrored = np.conj(np.roll(spec[::-1, ::-1], (1, 1), axis=(0, 1)))
+    cols = spec[:, [0, -1]]
+    mirrored = np.conj(np.roll(cols[::-1], 1, axis=0))
     scale = float(np.abs(spec).max())
     if scale == 0.0:
         return 0.0
-    return float(np.abs(spec - mirrored).max()) / scale
+    return float(np.abs(cols - mirrored).max()) / scale
 
 
 def apply_multiplier(f: ScalarField, mult: np.ndarray) -> ScalarField:
-    return ScalarField.from_spectrum(f.grid, f.spectrum * mult)
+    """Multiply the spectrum by mult, given on the full or the half lattice."""
+    return ScalarField.from_spectrum(f.grid, f.spectrum * _half_lattice(f.grid, mult))
 
 
 def gradient(f: ScalarField) -> VectorField:
     """Spectral gradient; exact for band-limited fields."""
-    t = tables(f.grid)
+    t = _half_tables(f.grid)
     return VectorField((apply_multiplier(f, t.ddx), apply_multiplier(f, t.ddy)))
 
 
 def divergence(v: VectorField) -> ScalarField:
-    t = tables(v.grid)
+    t = _half_tables(v.grid)
     spec = t.ddx * v.components[0].spectrum + t.ddy * v.components[1].spectrum
     return ScalarField.from_spectrum(v.grid, spec)
 
 
 def curl2d(v: VectorField) -> ScalarField:
     """Scalar curl d_x(v_y) - d_y(v_x) of a planar field."""
-    t = tables(v.grid)
+    t = _half_tables(v.grid)
     spec = t.ddx * v.components[1].spectrum - t.ddy * v.components[0].spectrum
     return ScalarField.from_spectrum(v.grid, spec)
 
 
 def perp_gradient(f: ScalarField) -> VectorField:
     """Rotated gradient (-d_y f, d_x f); always divergence-free."""
-    t = tables(f.grid)
+    t = _half_tables(f.grid)
     return VectorField(
         (apply_multiplier(f, -t.ddy), apply_multiplier(f, t.ddx)),
         divergence_free=True,
@@ -345,7 +387,7 @@ def leray_project(v: VectorField) -> VectorField:
     The scalar potential is inverted with the zero-mean convention, so the
     grid mean of v is preserved.
     """
-    t = tables(v.grid)
+    t = _half_tables(v.grid)
     vx_hat = v.components[0].spectrum
     vy_hat = v.components[1].spectrum
     helm = (t.kx * vx_hat + t.ky * vy_hat) * t.inv_neg_lap
@@ -368,15 +410,11 @@ def lp_norm(f: Field, p: float) -> float:
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 2:
         # Parseval: avoids inverse transforms when only spectra exist
-        n_total = f.grid.n**f.grid.dim
         if isinstance(f, ScalarField):
             if f._values is None:
-                return float(np.linalg.norm(f._spectrum)) / n_total
+                return _parseval_l2(f._spectrum)
         elif any(c._values is None for c in f.components):
-            return (
-                math.sqrt(sum(float(np.linalg.norm(c.spectrum)) ** 2 for c in f.components))
-                / n_total
-            )
+            return math.hypot(*(_parseval_l2(c.spectrum) for c in f.components))
     mag = np.abs(f.values) if isinstance(f, ScalarField) else f.magnitude()
     if math.isinf(p):
         return float(np.max(mag))
@@ -389,7 +427,7 @@ def lp_norm(f: Field, p: float) -> float:
 
 def dealias(f: ScalarField) -> ScalarField:
     """Zero every mode with any wavenumber component above k_max; idempotent."""
-    t = tables(f.grid)
+    t = _half_tables(f.grid)
     return ScalarField.from_spectrum(f.grid, f.spectrum * t.dealias_mask)
 
 

@@ -85,7 +85,8 @@ class DyadicFilterBank:
     """Fourier multipliers for the dyadic blocks on one grid.
 
     chi_profile is the block -1 (low-pass) multiplier; phi_profiles[j] is the
-    block-j multiplier. All profiles are real arrays over the full spectrum.
+    block-j multiplier. All profiles are real arrays over the full (n, n)
+    lattice; apply_multiplier restricts them to the half-lattice spectra.
     """
 
     grid: GridSpec

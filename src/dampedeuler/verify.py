@@ -19,10 +19,10 @@ from .fields import (
     GridSpec,
     ScalarField,
     VectorField,
-    _fftn,
-    _ifftn_real,
+    apply_multiplier,
     dealias,
     dealiased_product,
+    divergence,
     gradient,
     lp_norm,
     tables,
@@ -46,9 +46,8 @@ class CheckResult:
 
 def random_dealiased_field(grid: GridSpec, rng) -> ScalarField:
     """Smooth random scalar: white spectrum shaped by exp(-|k|/4), dealiased."""
-    t = tables(grid)
-    white = _fftn(rng.standard_normal(grid.shape))
-    return dealias(ScalarField.from_spectrum(grid, white * np.exp(-t.k_mag / 4.0)))
+    white = ScalarField.from_values(grid, rng.standard_normal(grid.shape))
+    return dealias(apply_multiplier(white, np.exp(-tables(grid).k_mag / 4.0)))
 
 
 def check_partition_of_unity(n: int = 64, bank: DyadicFilterBank | None = None) -> CheckResult:
@@ -90,8 +89,8 @@ def bernstein_ratios(n: int, seed: int = 0):
     rng = np.random.default_rng(seed)
     out = []
     for j in range(0, bank.j_max + 1):
-        white = _fftn(rng.standard_normal(grid.shape))
-        f = ScalarField.from_spectrum(grid, white * bank.phi_profiles[j] * tables(grid).dealias_mask)
+        white = ScalarField.from_values(grid, rng.standard_normal(grid.shape))
+        f = dealias(apply_multiplier(white, bank.phi_profiles[j]))
         g = gradient(f)
         for p in (2.0, math.inf):
             out.append((j, p, lp_norm(g, p) / (2.0**j * lp_norm(f, p))))
@@ -175,18 +174,14 @@ def check_dense_elliptic_oracle(n: int = 16, seed: int = 0) -> CheckResult:
     sol = elliptic.solve_pressure(rho, F)
 
     size = n * n
-    t = tables(grid)
     a = 1.0 / rho.values
 
     def operator(vals):
         # restrict to retained modes: the pressure solve poses the problem on
         # the dealiased subspace, so the direct solve must as well
-        pi_hat = _fftn(vals.reshape(grid.shape)) * t.dealias_mask
-        gx = _ifftn_real(t.ddx * pi_hat)
-        gy = _ifftn_real(t.ddy * pi_hat)
-        ax_hat = _fftn(a * gx) * t.dealias_mask
-        ay_hat = _fftn(a * gy) * t.dealias_mask
-        return -_ifftn_real(t.ddx * ax_hat + t.ddy * ay_hat).ravel()
+        pi_hat = dealias(ScalarField.from_values(grid, vals.reshape(grid.shape))).spectrum
+        res_hat = elliptic.operator_residual(a, pi_hat, 0.0, grid)
+        return ScalarField.from_spectrum(grid, res_hat).values.ravel()
 
     matrix = np.empty((size, size))
     basis = np.zeros(size)
@@ -194,9 +189,7 @@ def check_dense_elliptic_oracle(n: int = 16, seed: int = 0) -> CheckResult:
         basis[i] = 1.0
         matrix[:, i] = operator(basis)
         basis[i] = 0.0
-    rhs = _ifftn_real(
-        (t.ddx * F.components[0].spectrum + t.ddy * F.components[1].spectrum) * t.dealias_mask
-    ).ravel()
+    rhs = dealias(divergence(F)).values.ravel()
     dense, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
     dense -= dense.mean()
     dense_pi = ScalarField.from_values(grid, dense.reshape(grid.shape))

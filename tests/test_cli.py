@@ -320,6 +320,27 @@ class TestConfigErrorsAtRunTime:
             assert "config error: ic.rho_params:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("u_preset, amplitude", [
+        ("taylor_green", math.nan),
+        ("random_shell", math.inf),
+    ])
+    def test_non_finite_velocity_is_a_config_error(self, tmp_path, capsys, u_preset, amplitude):
+        cfg = tmp_path / "bad.json"
+        write_config(
+            cfg,
+            grid={"n": 16},
+            time={"t_end": 0.0},
+            ic={"u_preset": u_preset, "u_params": {"amplitude": amplitude}},
+        )
+        out = tmp_path / "o"
+        for argv in (
+            ["run", "--config", str(cfg), "--out", str(out)],
+            ["check", "--config", str(cfg)],
+        ):
+            assert main(argv) == 1, argv
+            assert "config error: ic.u_params: initial velocity not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_sweep_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
         write_config(cfg)

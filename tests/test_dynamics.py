@@ -145,8 +145,9 @@ class TestFailLoudly:
 
 
 class TestTransformCount:
-    """Transforms in one RK4 step at n = 64. These are the counts of the
-    current design; lower them when a change saves transforms."""
+    """Real transforms in one RK4 step at n = 64, and no complex ones. These
+    are the counts of the current design; lower them when a change saves
+    transforms."""
 
     @pytest.mark.parametrize("gamma, ic, expected", [
         (1, ICRecipe(), 46),
@@ -155,15 +156,16 @@ class TestTransformCount:
     def test_transforms_per_step(self, monkeypatch, gamma, ic, expected):
         cfg = SimConfig(alpha=1.0, gamma=gamma, grid=GridSpec(n=64), dt=1e-3, t_end=1e-3, ic=ic)
         state = initial_state(cfg)
-        calls = []
-        for name in ("fftn", "ifftn"):
-            def counted(*args, _transform=getattr(np.fft, name), **kwargs):
-                calls.append(1)
+        calls = dict.fromkeys(("rfftn", "irfftn", "fftn", "ifftn"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+                calls[_name] += 1
                 return _transform(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
         step_rk4(state, cfg)
-        assert len(calls) == expected
+        assert calls["fftn"] == calls["ifftn"] == 0
+        assert calls["rfftn"] + calls["irfftn"] == expected
 
 
 class TestRunSimulation:

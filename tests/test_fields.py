@@ -52,11 +52,26 @@ class TestTransforms:
         back = ScalarField.from_spectrum(grid64, f.spectrum)
         assert np.abs(back.values - values).max() <= 1e-12 * np.abs(values).max()
 
+    def test_spectrum_on_half_lattice(self, grid64):
+        values = np.random.default_rng(2).standard_normal(grid64.shape)
+        assert ScalarField.from_values(grid64, values).spectrum.shape == (64, 33)
+        full = ScalarField.from_spectrum(grid64, np.fft.fftn(values))
+        assert np.abs(full.values - values).max() <= 1e-12 * np.abs(values).max()
+        with pytest.raises(ValueError):
+            ScalarField.from_spectrum(grid64, np.zeros((64, 32), dtype=complex))
+
     def test_spectrum_hermitian(self, grid64):
         rng = np.random.default_rng(1)
         f = random_band_limited(grid64, rng)
         assert hermitian_defect(f) <= 1e-13
         assert hermitian_defect(gradient(f).components[0]) <= 1e-13
+
+    @pytest.mark.parametrize("column", [0, -1])
+    def test_broken_self_conjugate_column_detected(self, grid64, column):
+        # columns k_y = 0 and k_y = n/2 must equal their own conjugate mirror
+        spec = random_band_limited(grid64, np.random.default_rng(1)).spectrum.copy()
+        spec[1, column] += 0.01 * np.abs(spec).max()
+        assert hermitian_defect(ScalarField.from_spectrum(grid64, spec)) > 1e-3
 
     def test_fields_immutable(self, grid64):
         f = ScalarField.constant(grid64, 2.0)
