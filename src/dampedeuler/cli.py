@@ -1,10 +1,12 @@
 """Command-line entry points: run, check, verify, sweep.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime invariant abort
-(partial output is kept), 3 a checked condition does not hold (check: the
-governing smallness condition; verify: a self-check). sweep writes one
-directory <param>=<value> per value, with the value in %g form when that
-reads back exactly and in repr form otherwise.
+Exit codes: 0 success, 1 configuration error (or an output that already
+exists, or a bad THREADS), 2 runtime invariant abort (partial output is
+kept), 3 a checked condition does not hold (check: the governing smallness
+condition; verify: a self-check). sweep writes one directory <param>=<value>
+per value, with the value in %g form when that reads back exactly and in
+repr form otherwise. Outputs are never overwritten: run and sweep refuse,
+before any simulation starts, when one of their output paths exists.
 """
 
 from __future__ import annotations
@@ -135,6 +137,19 @@ def build_summary(resolved: dict, config, result) -> dict:
     return summary
 
 
+def _run_outputs(out_dir: str) -> tuple[str, str]:
+    """The records.csv and summary.json paths of a run into out_dir."""
+    return os.path.join(out_dir, "records.csv"), os.path.join(out_dir, "summary.json")
+
+
+def _refuse_existing(command: str, paths) -> bool:
+    """Report the first of paths that exists; True if one does."""
+    existing = next((p for p in paths if os.path.exists(p)), None)
+    if existing is not None:
+        print(f"{command} error: {existing} exists; refusing to overwrite it", file=sys.stderr)
+    return existing is not None
+
+
 def _run_to_dir(resolved: dict, out_dir: str) -> dict:
     """Run one resolved config into out_dir (records.csv, summary.json) and
     return the summary; out_dir is made only once the run has ended."""
@@ -142,17 +157,18 @@ def _run_to_dir(resolved: dict, out_dir: str) -> dict:
     with named_keys():
         result = run_simulation(config)
     os.makedirs(out_dir, exist_ok=True)
-    write_records_csv(
-        os.path.join(out_dir, "records.csv"), result.records, len(config.besov_indices)
-    )
+    records_path, summary_path = _run_outputs(out_dir)
+    write_records_csv(records_path, result.records, len(config.besov_indices))
     summary = build_summary(resolved, config, result)
-    with open(os.path.join(out_dir, "summary.json"), "w") as out:
+    with open(summary_path, "w") as out:
         json.dump(summary, out, indent=2)
         out.write("\n")
     return summary
 
 
 def cmd_run(config_path: str, out_dir: str) -> int:
+    if _refuse_existing("run", _run_outputs(out_dir)):
+        return EXIT_CONFIG
     summary = _run_to_dir(load_config(config_path), out_dir)
     if not summary["completed"]:
         print(f"run aborted: {summary['failure']}", file=sys.stderr)
@@ -213,16 +229,22 @@ def cmd_sweep(config_path: str, param: str, values: list, out_dir: str) -> int:
     if len(set(labels)) != len(labels):
         print(f"sweep error: duplicate values in {labels}", file=sys.stderr)
         return EXIT_CONFIG
+    workers = os.environ.get("THREADS", "")
+    if workers and not (workers.strip().isdecimal() and int(workers) > 0):
+        print(f"sweep error: THREADS must be a positive integer, got {workers!r}", file=sys.stderr)
+        return EXIT_CONFIG
     resolved = load_config(config_path)
     docs = []
     for value in values:  # reject every bad value before any run starts
         doc = copy.deepcopy(resolved)
         _set_config_key(doc, param, value)
         docs.append(resolve_config(doc))
-    os.makedirs(out_dir, exist_ok=True)
     dirs = [os.path.join(out_dir, f"{param}={label}") for label in labels]
+    summary_path = os.path.join(out_dir, "sweep_summary.json")
+    if _refuse_existing("sweep", [*dirs, summary_path]):
+        return EXIT_CONFIG
+    os.makedirs(out_dir, exist_ok=True)
 
-    workers = os.environ.get("THREADS")
     max_workers = int(workers) if workers else (os.cpu_count() or 1)
     max_workers = max(1, min(max_workers, len(docs)))
     if max_workers == 1:
@@ -236,7 +258,7 @@ def cmd_sweep(config_path: str, param: str, values: list, out_dir: str) -> int:
         "values": values,
         "runs": dict(zip(labels, summaries)),
     }
-    with open(os.path.join(out_dir, "sweep_summary.json"), "w") as out:
+    with open(summary_path, "w") as out:
         json.dump(sweep_summary, out, indent=2)
         out.write("\n")
     failed = any(not s["completed"] for s in summaries)

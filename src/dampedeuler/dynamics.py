@@ -23,7 +23,8 @@ from functools import partial
 import numpy as np
 
 from .diagnostics import InitialNorms, initial_norms, make_record
-from .elliptic import PressureSolveError, PressureSolveParams, coefficient_bounds, solve_pressure
+from .elliptic import (PressureSolution, PressureSolveError, PressureSolveParams,
+                       coefficient_bounds, solve_pressure)
 from .fields import (
     GridSpec,
     ParameterError,
@@ -250,17 +251,14 @@ def pressure_gradient(state: FluidState, config: SimConfig) -> VectorField:
 
 def _velocity_tendency(
     state: FluidState, config: SimConfig, pi_guess: ScalarField | None = None
-) -> tuple[VectorField, ScalarField]:
+) -> tuple[VectorField, PressureSolution]:
     try:
-        bounds = coefficient_bounds(state.rho)
+        coefficient_bounds(state.rho)
     except ValueError as exc:
         raise InvariantViolation(f"stage {exc} at t = {state.t:.6g}") from None
     forcing = momentum_forcing(state, config)
     sol = solve_pressure(state.rho, forcing, config.pressure, initial_guess=pi_guess)
-    if bounds.uniform:
-        return -(forcing + sol.grad_pi * bounds.a_star), sol.pi
-    inv_rho = ScalarField.from_values(state.rho.grid, 1.0 / state.rho.values)
-    return -(forcing + scale_vector(sol.grad_pi, inv_rho)), sol.pi
+    return -(forcing + sol.accel), sol
 
 
 def momentum_rhs(state: FluidState, config: SimConfig) -> VectorField:
@@ -377,8 +375,9 @@ def step_rk4(state: FluidState, config: SimConfig) -> FluidState:
         s = FluidState(t, *y, rho_bounds=state.rho_bounds)
         # warm-start each stage's pressure solve from the previous stage:
         # the converged potential is guess-independent
-        tendency, pi = _velocity_tendency(s, config, pi_cache[0])
-        pi_cache[0] = pi
+        tendency, sol = _velocity_tendency(s, config, pi_cache[0])
+        pi_cache[0] = sol.pi
+        del sol  # free its accel before density_rhs allocates: peak memory
         return density_rhs(s), tendency
 
     rho_new, u_new = _rk4(stage, state.t, (state.rho, state.u), config.dt)

@@ -3,10 +3,10 @@
 The discrete operator is the dealiased pseudo-spectral one: derivatives are
 spectral and the coefficient product is truncated with the 2/3 rule, which is
 exactly the operator the momentum tendency needs so that its divergence
-vanishes. The solve is a fixed-point iteration preconditioned by the constant
-coefficient inverse Laplacian with the midpoint coefficient split. It
-converged at every density contrast tried, but its iteration count grows
-about linearly with the contrast.
+vanishes; the solve also returns that tendency's pressure term dealias((1/rho)
+grad Pi). It is a fixed-point iteration preconditioned by the constant
+coefficient inverse Laplacian (midpoint split), which converged at every
+density contrast tried in about linearly growing iteration counts.
 """
 
 from __future__ import annotations
@@ -83,20 +83,24 @@ def coefficient_bounds(rho: ScalarField) -> CoefficientBounds:
 @dataclass(frozen=True)
 class PressureSolution:
     pi: ScalarField
-    grad_pi: VectorField
+    accel: VectorField  # dealias((1/rho) grad Pi): the tendency's pressure term
     iterations: int
     residual: float
     residual_history: tuple[float, ...] = field(default=())
 
+    @property
+    def grad_pi(self) -> VectorField:  # on demand: the stages need only pi and accel
+        return gradient(self.pi)
+
 
 def operator_residual(rho_inv, pi_hat, rhs_hat, grid):
-    """Half spectrum of -div(dealias(a * grad Pi)) - rhs."""
+    """Half spectra of -div(A) - rhs and of the flux A = dealias(a * grad Pi)."""
     t = _half_tables(grid)
     gx = _ifftn_real(t.ddx * pi_hat)
     gy = _ifftn_real(t.ddy * pi_hat)
     ax_hat = _fftn(rho_inv * gx) * t.dealias_mask
     ay_hat = _fftn(rho_inv * gy) * t.dealias_mask
-    return -(t.ddx * ax_hat + t.ddy * ay_hat) - rhs_hat
+    return -(t.ddx * ax_hat + t.ddy * ay_hat) - rhs_hat, ax_hat, ay_hat
 
 
 def solve_pressure(
@@ -107,12 +111,12 @@ def solve_pressure(
 ) -> PressureSolution:
     """Solve -div((1/rho) grad Pi) = div F with the zero-mean gauge for Pi.
 
-    Returns the potential, its gradient, the iteration count, and the final
-    relative L^2 residual. Raises PressureSolveError (carrying the residual)
-    if the source is not finite or the tolerance is not reached within
-    max_iter iterations. An initial_guess (for example the previous time
-    step's potential) shortens the iteration but never changes the converged
-    answer.
+    Returns the potential (its gradient on access), the acceleration
+    dealias((1/rho) grad Pi), the iteration count and the final relative
+    L^2 residual. Raises PressureSolveError (carrying the residual) if the
+    source is not finite or the tolerance is not reached within max_iter
+    iterations. An initial_guess (for example the previous time step's
+    potential) shortens the iteration but never changes the converged answer.
     """
     if params is None:
         params = PressureSolveParams()
@@ -132,9 +136,7 @@ def solve_pressure(
     noise_floor = 1e-12 * max(1.0, grid.k_max * lp_norm(F, 2))
     if rhs_norm <= noise_floor:
         zero = ScalarField.zero(grid)
-        return PressureSolution(
-            zero, VectorField((zero, zero)), 1, rhs_norm, (rhs_norm,)
-        )
+        return PressureSolution(zero, VectorField((zero, zero)), 1, rhs_norm, (rhs_norm,))
 
     # constant-coefficient initial guess: -abar * Lap(Pi) = rhs. Each pass
     # evaluates the residual res = -div(a grad Pi) - rhs and applies the
@@ -152,7 +154,7 @@ def solve_pressure(
         if bounds.uniform:
             res_hat = abar * t.ksq * pi_hat - rhs_hat
         else:
-            res_hat = operator_residual(a, pi_hat, rhs_hat, grid)
+            res_hat, *flux = operator_residual(a, pi_hat, rhs_hat, grid)
         residual = _parseval_l2(res_hat) / rhs_norm
         history.append(residual)
         if residual <= params.tol:
@@ -165,12 +167,14 @@ def solve_pressure(
                 iterations=iterations,
             )
         pi_hat = pi_hat - res_hat * t.inv_neg_lap / abar
+        flux = None  # free before the next evaluation: peak memory
 
-    pi_hat = pi_hat.copy()
-    pi_hat.flat[0] = 0.0  # zero-mean gauge
+    del a, rhs_hat, res_hat  # free before the outputs are built: peak memory
+    pi_hat.flat[0] = 0.0  # zero-mean gauge; pi_hat is always a fresh array here
     pi = ScalarField.from_spectrum(grid, pi_hat)
-    grad_pi = gradient(pi)
-    return PressureSolution(pi, grad_pi, iterations, residual, tuple(history))
+    accel = (gradient(pi) * bounds.a_star if bounds.uniform
+             else VectorField(ScalarField.from_spectrum(grid, f) for f in flux))
+    return PressureSolution(pi, accel, iterations, residual, tuple(history))
 
 
 def lax_milgram_check(rho: ScalarField, F: VectorField, grad_pi: VectorField) -> float:

@@ -44,8 +44,6 @@ class GridSpec:
     ----------
     n : int
         Points per dimension; must be a power of two, at least 8.
-    dim : int
-        Spatial dimension. The solver is two-dimensional; only 2 is accepted.
     length : float
         Domain period (default 2*pi, so grid wavenumbers are integers).
     dealias_fraction : float
@@ -53,15 +51,12 @@ class GridSpec:
     """
 
     n: int
-    dim: int = 2
     length: float = TWO_PI
     dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
         if not (self.n >= 8 and (self.n & (self.n - 1)) == 0):
             raise ParameterError("n", f"must be a power of two >= 8, got {self.n}")
-        if self.dim != 2:
-            raise ValueError("only two-dimensional grids are supported")
         if not 0.0 < self.dealias_fraction <= 1.0:
             raise ParameterError("dealias_fraction", "must lie in (0, 1]")
         if self.k_max < 2:
@@ -231,7 +226,7 @@ class ScalarField:
 
     def mean(self) -> float:
         if self._spectrum is not None:
-            return self._spectrum.flat[0].real / self.grid.n**self.grid.dim
+            return self._spectrum.flat[0].real / self.grid.n**2
         return float(np.mean(self._values))
 
     # field algebra (pointwise, no truncation); products go through

@@ -106,10 +106,10 @@ class DyadicFilterBank:
 def build_filter_bank(grid: GridSpec) -> DyadicFilterBank:
     """Construct the dyadic filter bank for a grid.
 
-    j_max is the smallest J with 1.9 * 2^J >= k_max * sqrt(dim), so the top
+    j_max is the smallest J with 1.9 * 2^J >= k_max * sqrt(2), so the top
     annulus reaches the largest retained wavenumber.
     """
-    k_corner = grid.k_max * math.sqrt(grid.dim)
+    k_corner = grid.k_max * math.sqrt(2)
     j_max = 0
     while ZERO_EDGE * 2**j_max < k_corner:
         j_max += 1

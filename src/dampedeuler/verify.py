@@ -180,7 +180,7 @@ def check_dense_elliptic_oracle(n: int = 16, seed: int = 0) -> CheckResult:
         # restrict to retained modes: the pressure solve poses the problem on
         # the dealiased subspace, so the direct solve must as well
         pi_hat = dealias(ScalarField.from_values(grid, vals.reshape(grid.shape))).spectrum
-        res_hat = elliptic.operator_residual(a, pi_hat, 0.0, grid)
+        res_hat = elliptic.operator_residual(a, pi_hat, 0.0, grid)[0]
         return ScalarField.from_spectrum(grid, res_hat).values.ravel()
 
     matrix = np.empty((size, size))

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from dampedeuler import cli
 from dampedeuler.cli import csv_columns, main
 from dampedeuler.config import ConfigError, load_config, resolve_config
 from dampedeuler.verify import check_partition_of_unity
@@ -361,3 +362,51 @@ class TestConfigErrorsAtRunTime:
             warnings.simplefilter("always")
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert sum("CFL" in str(w.message) for w in caught) == 1
+
+
+def _no_simulation(config):
+    raise AssertionError("a simulation started")
+
+
+class TestRefusedBeforeAnyRun:
+    @pytest.mark.parametrize("name", ["records.csv", "summary.json"])
+    def test_run_refuses_existing_output(self, tmp_path, capsys, monkeypatch, name):
+        cfg = tmp_path / "run.json"
+        write_config(cfg)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).write_text("kept")
+        monkeypatch.setattr(cli, "run_simulation", _no_simulation)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert str(out / name) in capsys.readouterr().err
+        assert (out / name).read_text() == "kept"
+
+    @pytest.mark.parametrize("existing", ["physics.alpha=0.5", "sweep_summary.json"])
+    def test_sweep_refuses_existing_output(self, tmp_path, capsys, monkeypatch, existing):
+        monkeypatch.setenv("THREADS", "1")
+        cfg = tmp_path / "sweep.json"
+        write_config(cfg, time={"dt": 2e-3, "t_end": 0.0, "record_every": 1})
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / existing).write_text("kept")
+        monkeypatch.setattr(cli, "run_simulation", _no_simulation)
+        assert main([
+            "sweep", "--config", str(cfg), "--param", "physics.alpha",
+            "--values", "0.25,0.5", "--out", str(out),
+        ]) == 1
+        assert str(out / existing) in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [existing]
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+    def test_bad_threads_rejected(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("THREADS", threads)
+        cfg = tmp_path / "sweep.json"
+        write_config(cfg, time={"dt": 2e-3, "t_end": 0.0, "record_every": 1})
+        monkeypatch.setattr(cli, "run_simulation", _no_simulation)
+        assert main([
+            "sweep", "--config", str(cfg), "--param", "physics.alpha",
+            "--values", "0.25,0.5", "--out", str(tmp_path / "o"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"sweep error: THREADS must be a positive integer, got {threads!r}" in err
+        assert not (tmp_path / "o").exists()

@@ -151,7 +151,7 @@ class TestTransformCount:
 
     @pytest.mark.parametrize("gamma, ic, expected", [
         (1, ICRecipe(), 46),
-        (0, ICRecipe(rho_preset="single_mode", rho_params={"k": 1, "amplitude": 0.2}), 238),
+        (0, ICRecipe(rho_preset="single_mode", rho_params={"k": 1, "amplitude": 0.2}), 222),
     ])
     def test_transforms_per_step(self, monkeypatch, gamma, ic, expected):
         cfg = SimConfig(alpha=1.0, gamma=gamma, grid=GridSpec(n=64), dt=1e-3, t_end=1e-3, ic=ic)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from dampedeuler import dynamics
+from dampedeuler.config import build_sim_config, resolve_config
 from dampedeuler.elliptic import (
     CoefficientBounds,
     PressureSolveError,
@@ -20,9 +22,10 @@ from dampedeuler.fields import (
     gradient,
     leray_project,
     lp_norm,
+    scale_vector,
 )
 from dampedeuler.littlewood_paley import build_filter_bank
-from dampedeuler.verify import check_dense_elliptic_oracle
+from dampedeuler.verify import check_dense_elliptic_oracle, random_dealiased_field
 
 from conftest import random_band_limited, random_band_limited_vector
 
@@ -118,6 +121,14 @@ class TestVariableCoefficient:
         assert warm.iterations <= 2
         assert lp_norm(warm.pi - cold.pi, math.inf) <= 1e-9 * lp_norm(cold.pi, math.inf)
 
+    @pytest.mark.parametrize("amplitude", [0.0, 0.2])
+    def test_accel_is_the_dealiased_flux(self, grid64, amplitude):
+        rng = np.random.default_rng(11)
+        rho = cosine_density(grid64, amplitude)
+        sol = solve_pressure(rho, random_band_limited_vector(grid64, rng))
+        flux = scale_vector(sol.grad_pi, ScalarField.from_values(grid64, 1.0 / rho.values))
+        assert lp_norm(sol.accel - flux, math.inf) <= 1e-14 * lp_norm(flux, math.inf)
+
     def test_nonconvergence_reports_residual(self, grid64):
         rng = np.random.default_rng(5)
         x, _ = grid64.nodes()
@@ -177,3 +188,39 @@ class TestBesovPressureProbe:
             ratios.append(r)
         # bounded-ratio probe: report the spread, no sharp constant asserted
         assert max(ratios) < 100.0
+
+
+class TestIterationPins:
+    """Pressure iterations of the current solver. Lower these pins when a
+    solver change lands; never raise them to make a change pass."""
+
+    @pytest.mark.parametrize("contrast, expected", [(1.2, 10), (2.0, 21), (4.0, 45), (10.0, 113)])
+    def test_gaussian_bump_solve(self, contrast, expected):
+        grid = GridSpec(n=64)
+        rng = np.random.default_rng(0)
+        F = VectorField((random_dealiased_field(grid, rng), random_dealiased_field(grid, rng)))
+        rho = dynamics.rho_gaussian_bump(grid, amplitude=contrast - 1.0)
+        assert solve_pressure(rho, F).iterations == expected
+
+    def test_bump_contrast4_run(self, monkeypatch):
+        # the bump_contrast4_n64 benchmark workload, cut to ten steps
+        config = build_sim_config(resolve_config({
+            "physics": {"alpha": 1.0, "gamma": 0},
+            "grid": {"n": 64},
+            "time": {"dt": 2e-3, "t_end": 0.02, "record_every": 10},
+            "ic": {
+                "u_preset": "random_shell", "u_params": {"j": 2, "amplitude": 0.25},
+                "rho_preset": "gaussian_bump", "rho_params": {"width": 0.8, "amplitude": 3.0},
+                "seed": 0,
+            },
+        }))
+        iterations = []
+
+        def counted(*args, **kwargs):
+            sol = solve_pressure(*args, **kwargs)
+            iterations.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_pressure", counted)
+        assert not dynamics.run_simulation(config).failed
+        assert (len(iterations), sum(iterations)) == (42, 1304)
