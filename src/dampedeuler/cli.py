@@ -6,7 +6,7 @@ kept), 3 a checked condition does not hold (check: the governing smallness
 condition; verify: a self-check). sweep writes one directory <param>=<value>
 per value, with the value in %g form when that reads back exactly and in
 repr form otherwise. Outputs are never overwritten: run and sweep refuse,
-before any simulation starts, when one of their output paths exists.
+before any simulation starts, when an output path or a non-directory --out exists.
 """
 
 from __future__ import annotations
@@ -142,8 +142,11 @@ def _run_outputs(out_dir: str) -> tuple[str, str]:
     return os.path.join(out_dir, "records.csv"), os.path.join(out_dir, "summary.json")
 
 
-def _refuse_existing(command: str, paths) -> bool:
-    """Report the first of paths that exists; True if one does."""
+def _refuse_existing(command: str, out_dir: str, paths) -> bool:
+    """Report a non-directory out_dir, or else the first of paths that exists; True if either."""
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        print(f"{command} error: --out {out_dir} exists and is not a directory", file=sys.stderr)
+        return True
     existing = next((p for p in paths if os.path.exists(p)), None)
     if existing is not None:
         print(f"{command} error: {existing} exists; refusing to overwrite it", file=sys.stderr)
@@ -167,7 +170,7 @@ def _run_to_dir(resolved: dict, out_dir: str) -> dict:
 
 
 def cmd_run(config_path: str, out_dir: str) -> int:
-    if _refuse_existing("run", _run_outputs(out_dir)):
+    if _refuse_existing("run", out_dir, _run_outputs(out_dir)):
         return EXIT_CONFIG
     summary = _run_to_dir(load_config(config_path), out_dir)
     if not summary["completed"]:
@@ -241,7 +244,7 @@ def cmd_sweep(config_path: str, param: str, values: list, out_dir: str) -> int:
         docs.append(resolve_config(doc))
     dirs = [os.path.join(out_dir, f"{param}={label}") for label in labels]
     summary_path = os.path.join(out_dir, "sweep_summary.json")
-    if _refuse_existing("sweep", [*dirs, summary_path]):
+    if _refuse_existing("sweep", out_dir, [*dirs, summary_path]):
         return EXIT_CONFIG
     os.makedirs(out_dir, exist_ok=True)
 

@@ -132,38 +132,27 @@ def resolve_config(doc: dict) -> dict:
     return merged
 
 
+def _section(resolved: dict, section: str) -> dict:
+    """A resolved section with each value cast to the type of its default."""
+    return {key: type(_DEFAULTS[section][key])(value) for key, value in resolved[section].items()}
+
+
 def build_sim_config(resolved: dict) -> SimConfig:
     """Turn a resolved config document into a SimConfig."""
-    ic = ICRecipe(
-        u_preset=resolved["ic"]["u_preset"],
-        u_params=dict(resolved["ic"]["u_params"]),
-        rho_preset=resolved["ic"]["rho_preset"],
-        rho_params=dict(resolved["ic"]["rho_params"]),
-        seed=int(resolved["ic"]["seed"]),
-    )
     with named_keys():
         return SimConfig(
-            alpha=float(resolved["physics"]["alpha"]),
-            gamma=int(resolved["physics"]["gamma"]),
-            grid=GridSpec(
-                n=int(resolved["grid"]["n"]),
-                dealias_fraction=float(resolved["grid"]["dealias_fraction"]),
-            ),
-            dt=float(resolved["time"]["dt"]),
-            t_end=float(resolved["time"]["t_end"]),
-            ic=ic,
-            pressure=PressureSolveParams(
-                tol=float(resolved["pressure"]["tol"]),
-                max_iter=int(resolved["pressure"]["max_iter"]),
-            ),
+            **_section(resolved, "physics"),
+            **_section(resolved, "time"),
+            grid=GridSpec(**_section(resolved, "grid")),
+            ic=ICRecipe(**_section(resolved, "ic")),
+            pressure=PressureSolveParams(**_section(resolved, "pressure")),
             besov_indices=parse_besov_indices(resolved["track"]["besov_indices"]),
-            record_every=int(resolved["time"]["record_every"]),
         )
 
 
 def smallness_params(resolved: dict) -> SmallnessParams:
     with named_keys():
-        return SmallnessParams(**{key: float(value) for key, value in resolved["smallness"].items()})
+        return SmallnessParams(**_section(resolved, "smallness"))
 
 
 def load_config(path: str) -> dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ParameterError, ScalarField, grad_inf, lp_norm
-from .littlewood_paley import BesovIndex, besov_norm
+from .littlewood_paley import B1, besov_norm, besov_norms
 
 LOG_HUGE = 700.0  # exp threshold before float overflow
 
@@ -58,10 +58,10 @@ def make_record(state, config, bank, prev: DiagnosticsRecord | None) -> Diagnost
     return DiagnosticsRecord(
         t=state.t,
         l2_u=lp_norm(u, 2),
-        besov_u=tuple(besov_norm(bank, u, idx) for idx in config.besov_indices),
+        besov_u=besov_norms(bank, u, config.besov_indices),
         l2_grad_pi=lp_norm(grad_pi, 2),
-        besov_grad_pi=tuple(besov_norm(bank, grad_pi, idx) for idx in config.besov_indices),
-        besov_rho_minus_1=besov_norm(bank, rho_m1, BesovIndex(1.0, math.inf, 1.0)),
+        besov_grad_pi=besov_norms(bank, grad_pi, config.besov_indices),
+        besov_rho_minus_1=besov_norm(bank, rho_m1, B1),
         rho_min=float(rho.values.min()),
         rho_max=float(rho.values.max()),
         energy=0.5 * float(np.mean(rho.values * u.magnitude() ** 2)),
@@ -152,12 +152,11 @@ class InitialNorms:
 
 def initial_norms(state, bank) -> InitialNorms:
     """The norms of the t = 0 state (rho, u) that the conditions use."""
-    b1 = BesovIndex(1.0, math.inf, 1.0)
     rho_m1 = state.rho + ScalarField.constant(state.rho.grid, -1.0)
     return InitialNorms(
-        u_besov1=besov_norm(bank, state.u, b1),
+        u_besov1=besov_norm(bank, state.u, B1),
         u_l2=lp_norm(state.u, 2),
-        rho_besov1=besov_norm(bank, rho_m1, b1),
+        rho_besov1=besov_norm(bank, rho_m1, B1),
     )
 
 

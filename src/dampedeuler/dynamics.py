@@ -41,7 +41,7 @@ from .fields import (
     perp_gradient,
     scale_vector,
 )
-from .littlewood_paley import BesovIndex, build_filter_bank
+from .littlewood_paley import B1, BesovIndex, build_filter_bank
 
 DENSITY_DRIFT_TOL = 1e-6
 DIV_DRIFT_TOL = 1e-10
@@ -71,7 +71,7 @@ class SimConfig:
     t_end: float
     ic: ICRecipe
     pressure: PressureSolveParams = PressureSolveParams()
-    besov_indices: tuple[BesovIndex, ...] = (BesovIndex(1.0, math.inf, 1.0),)
+    besov_indices: tuple[BesovIndex, ...] = (B1,)
     record_every: int = 1
 
     def __post_init__(self):
@@ -124,7 +124,7 @@ def random_shell(grid: GridSpec, j: int = 2, amplitude: float = 1.0, seed: int =
     if not 0 <= j <= bank.j_max:
         raise ValueError(f"shell index {j} outside [0, {bank.j_max}]")
     rng = np.random.default_rng(seed)
-    white = [ScalarField.from_values(grid, rng.standard_normal(grid.shape)) for _ in range(2)]
+    white = [ScalarField(grid, values=rng.standard_normal(grid.shape)) for _ in range(2)]
     v = leray_project(VectorField(tuple(apply_multiplier(w, bank.phi_profiles[j]) for w in white)))
     norm = lp_norm(v, 2)
     if norm == 0.0:
@@ -152,7 +152,7 @@ def rho_single_mode(grid: GridSpec, k: int = 1, amplitude: float = 0.1) -> Scala
     if abs(amplitude) >= 1.0:
         raise ValueError("|amplitude| must be < 1 to keep the density positive")
     x, _ = grid.nodes()
-    return ScalarField.from_values(grid, 1.0 + amplitude * np.cos(k * x))
+    return ScalarField(grid, values=1.0 + amplitude * np.cos(k * x))
 
 
 def rho_gaussian_bump(grid: GridSpec, width: float = 0.5, amplitude: float = 0.2) -> ScalarField:
@@ -164,7 +164,7 @@ def rho_gaussian_bump(grid: GridSpec, width: float = 0.5, amplitude: float = 0.2
     x, y = grid.nodes()
     # chordal distance keeps the bump smooth and periodic
     dsq = 4.0 * np.sin((x - np.pi) / 2) ** 2 + 4.0 * np.sin((y - np.pi) / 2) ** 2
-    return ScalarField.from_values(grid, 1.0 + amplitude * np.exp(-dsq / (2.0 * width**2)))
+    return ScalarField(grid, values=1.0 + amplitude * np.exp(-dsq / (2.0 * width**2)))
 
 
 U_PRESETS = {"taylor_green": taylor_green, "random_shell": random_shell, "swirl": swirl}
@@ -240,7 +240,7 @@ def momentum_forcing(state: FluidState, config: SimConfig) -> VectorField:
     if config.gamma == 1:
         damp = dealias_vector(state.u)
     else:
-        damp = scale_vector(state.u, ScalarField.from_values(state.rho.grid, 1.0 / state.rho.values))
+        damp = scale_vector(state.u, ScalarField(state.rho.grid, values=1.0 / state.rho.values))
     return adv + config.alpha * damp
 
 
@@ -281,14 +281,14 @@ def vorticity_forcing(state: FluidState, config: SimConfig) -> ScalarField:
     grad_pi = state.grad_pi
     if grad_pi is None:
         grad_pi = pressure_gradient(state, config)
-    inv_rho = ScalarField.from_values(state.rho.grid, 1.0 / state.rho.values)
+    inv_rho = ScalarField(state.rho.grid, values=1.0 / state.rho.values)
     pg = perp_gradient(inv_rho)
     factor = math.exp(config.alpha * state.t)
     dot = (
         pg.components[0].values * grad_pi.components[0].values
         + pg.components[1].values * grad_pi.components[1].values
     )
-    return dealias(ScalarField.from_values(state.rho.grid, -factor * dot))
+    return dealias(ScalarField(state.rho.grid, values=-factor * dot))
 
 
 def rescaled_view(state: FluidState, beta: float) -> tuple[VectorField, VectorField]:

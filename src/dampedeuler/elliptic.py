@@ -27,7 +27,7 @@ from .fields import (
     gradient,
     lp_norm,
 )
-from .littlewood_paley import BesovIndex, DyadicFilterBank, besov_norm
+from .littlewood_paley import B1, BesovIndex, DyadicFilterBank, besov_norm
 
 
 class PressureSolveError(RuntimeError):
@@ -171,9 +171,9 @@ def solve_pressure(
 
     del a, rhs_hat, res_hat  # free before the outputs are built: peak memory
     pi_hat.flat[0] = 0.0  # zero-mean gauge; pi_hat is always a fresh array here
-    pi = ScalarField.from_spectrum(grid, pi_hat)
+    pi = ScalarField(grid, spectrum=pi_hat)
     accel = (gradient(pi) * bounds.a_star if bounds.uniform
-             else VectorField(ScalarField.from_spectrum(grid, f) for f in flux))
+             else VectorField(ScalarField(grid, spectrum=f) for f in flux))
     return PressureSolution(pi, accel, iterations, residual, tuple(history))
 
 
@@ -206,7 +206,7 @@ def besov_pressure_ratio(
     (1 + ||grad rho||_inf^eta) ||F||_{L^2} + ||rho div F||_{B^0_{inf,1}}.
     Reported, not asserted: the bound's constant is not quantitative.
     """
-    num = besov_norm(bank, grad_pi, BesovIndex(1.0, math.inf, 1.0))
+    num = besov_norm(bank, grad_pi, B1)
     grad_rho_inf = lp_norm(gradient(rho), math.inf)
     rho_divF = dealiased_product(rho, divergence(F))
     den = (1.0 + grad_rho_inf**eta) * lp_norm(F, 2) + besov_norm(

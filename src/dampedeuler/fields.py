@@ -8,9 +8,9 @@ Nonlinear products are truncated with the 2/3 rule before they re-enter any
 derivative. Norms use the normalized measure (grid averages), so the L^p norm
 of a constant c equals |c| at every resolution.
 
-Fields are immutable snapshots: every operation returns a new field, and the
-backing arrays are marked read-only, so fields are safe to share across
-threads.
+Fields are immutable snapshots: every operation returns a new field that owns
+its arrays, marked read-only (from_values and from_spectrum copy the caller's
+array), so fields are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -177,7 +177,8 @@ class ScalarField:
     Either representation may be supplied; the other is derived on first use
     and cached. The pair stays consistent because fields are never mutated.
     The spectrum is held on the half lattice (n, n//2 + 1); a full-lattice
-    (n, n) spectrum of real samples is accepted and restricted to it.
+    (n, n) spectrum of real samples is accepted and restricted to it. The
+    constructor takes ownership of the array it is given.
     """
 
     __slots__ = ("grid", "_values", "_spectrum")
@@ -196,11 +197,11 @@ class ScalarField:
 
     @classmethod
     def from_values(cls, grid: GridSpec, values) -> "ScalarField":
-        return cls(grid, values=values)
+        return cls(grid, values=np.array(values, dtype=float))
 
     @classmethod
     def from_spectrum(cls, grid: GridSpec, spectrum) -> "ScalarField":
-        return cls(grid, spectrum=spectrum)
+        return cls(grid, spectrum=np.array(spectrum, dtype=complex))
 
     @classmethod
     def constant(cls, grid: GridSpec, c: float) -> "ScalarField":
@@ -344,7 +345,7 @@ def hermitian_defect(f: ScalarField) -> float:
 
 def apply_multiplier(f: ScalarField, mult: np.ndarray) -> ScalarField:
     """Multiply the spectrum by mult, given on the full or the half lattice."""
-    return ScalarField.from_spectrum(f.grid, f.spectrum * _half_lattice(f.grid, mult))
+    return ScalarField(f.grid, spectrum=f.spectrum * _half_lattice(f.grid, mult))
 
 
 def gradient(f: ScalarField) -> VectorField:
@@ -356,14 +357,14 @@ def gradient(f: ScalarField) -> VectorField:
 def divergence(v: VectorField) -> ScalarField:
     t = _half_tables(v.grid)
     spec = t.ddx * v.components[0].spectrum + t.ddy * v.components[1].spectrum
-    return ScalarField.from_spectrum(v.grid, spec)
+    return ScalarField(v.grid, spectrum=spec)
 
 
 def curl2d(v: VectorField) -> ScalarField:
     """Scalar curl d_x(v_y) - d_y(v_x) of a planar field."""
     t = _half_tables(v.grid)
     spec = t.ddx * v.components[1].spectrum - t.ddy * v.components[0].spectrum
-    return ScalarField.from_spectrum(v.grid, spec)
+    return ScalarField(v.grid, spectrum=spec)
 
 
 def perp_gradient(f: ScalarField) -> VectorField:
@@ -388,8 +389,8 @@ def leray_project(v: VectorField) -> VectorField:
     helm = (t.kx * vx_hat + t.ky * vy_hat) * t.inv_neg_lap
     return VectorField(
         (
-            ScalarField.from_spectrum(v.grid, vx_hat - t.kx * helm),
-            ScalarField.from_spectrum(v.grid, vy_hat - t.ky * helm),
+            ScalarField(v.grid, spectrum=vx_hat - t.kx * helm),
+            ScalarField(v.grid, spectrum=vy_hat - t.ky * helm),
         ),
         divergence_free=True,
         check=False,
@@ -423,7 +424,7 @@ def lp_norm(f: Field, p: float) -> float:
 def dealias(f: ScalarField) -> ScalarField:
     """Zero every mode with any wavenumber component above k_max; idempotent."""
     t = _half_tables(f.grid)
-    return ScalarField.from_spectrum(f.grid, f.spectrum * t.dealias_mask)
+    return ScalarField(f.grid, spectrum=f.spectrum * t.dealias_mask)
 
 
 def dealias_vector(v: VectorField) -> VectorField:
@@ -434,7 +435,7 @@ def dealias_vector(v: VectorField) -> VectorField:
 
 def dealiased_product(f: ScalarField, g: ScalarField) -> ScalarField:
     """Pointwise product truncated with the 2/3 rule."""
-    return dealias(ScalarField.from_values(f.grid, f.values * g.values))
+    return dealias(ScalarField(f.grid, values=f.values * g.values))
 
 
 def scale_vector(v: VectorField, f: ScalarField) -> VectorField:
@@ -449,7 +450,7 @@ def advect(u: VectorField, f: ScalarField) -> ScalarField:
         u.components[0].values * gx.values
         + u.components[1].values * gy.values
     )
-    return dealias(ScalarField.from_values(f.grid, conv))
+    return dealias(ScalarField(f.grid, values=conv))
 
 
 def advect_vector(u: VectorField, v: VectorField) -> VectorField:

@@ -80,6 +80,9 @@ class BesovIndex:
         return self.s > threshold or (self.s == threshold and self.r == 1)
 
 
+B1 = BesovIndex(1.0, math.inf, 1.0)  # B^1_{inf,1}, the space of the smallness conditions
+
+
 @dataclass(frozen=True)
 class DyadicFilterBank:
     """Fourier multipliers for the dyadic blocks on one grid.
@@ -169,17 +172,32 @@ def low_cutoff(bank: DyadicFilterBank, f: Field, j: int):
     return _multiply(f, mult)
 
 
+def besov_norms(bank: DyadicFilterBank, f: Field, indices) -> tuple[float, ...]:
+    """besov_norm of f for each index, from one pass over the blocks of f:
+    each block is formed once and every index reads its L^p norm from it."""
+    # L^2 first: lp_norm takes it by Parseval while the block has no samples
+    ps = sorted({idx.p for idx in indices}, key=lambda p: p != 2)
+    terms = [[] for _ in indices]
+    for j in bank.block_indices():
+        block = _multiply(f, bank.block_profile(j))
+        norms = {p: lp_norm(block, p) for p in ps}
+        del block  # free before the next block is formed: peak memory
+        for idx, t in zip(indices, terms):
+            t.append(2.0 ** (j * idx.s) * norms[idx.p])
+    out = []
+    for idx, t in zip(indices, terms):
+        if math.isinf(idx.r):
+            out.append(max(t))
+        elif idx.r == 1:
+            out.append(float(sum(t)))
+        else:
+            out.append(float(sum(x ** idx.r for x in t) ** (1.0 / idx.r)))
+    return tuple(out)
+
+
 def besov_norm(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> float:
     """l^r over blocks of 2^{j s} * ||block_j f||_{L^p}."""
-    terms = [
-        2.0 ** (j * idx.s) * lp_norm(_multiply(f, bank.block_profile(j)), idx.p)
-        for j in bank.block_indices()
-    ]
-    if math.isinf(idx.r):
-        return max(terms)
-    if idx.r == 1:
-        return float(sum(terms))
-    return float(sum(t ** idx.r for t in terms) ** (1.0 / idx.r))
+    return besov_norms(bank, f, (idx,))[0]
 
 
 def intersection_norm(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> float:
@@ -195,7 +213,7 @@ def paraproduct(bank: DyadicFilterBank, u: ScalarField, v: ScalarField) -> Scala
         low = low_cutoff(bank, u, j - 1)
         blk = dyadic_block(bank, v, j)
         acc = acc + low.values * blk.values
-    return dealias(ScalarField.from_values(grid, acc))
+    return dealias(ScalarField(grid, values=acc))
 
 
 def remainder(bank: DyadicFilterBank, u: ScalarField, v: ScalarField) -> ScalarField:
@@ -213,7 +231,7 @@ def remainder(bank: DyadicFilterBank, u: ScalarField, v: ScalarField) -> ScalarF
     for j in range(nblocks):
         for k in range(max(0, j - 1), min(nblocks, j + 2)):
             acc = acc + blocks_u[j] * blocks_v[k]
-    return dealias(ScalarField.from_values(grid, acc))
+    return dealias(ScalarField(grid, values=acc))
 
 
 def commutator_damping_profile(
@@ -232,9 +250,8 @@ def commutator_damping_profile(
     resolutions.
     """
     lower = BesovIndex(idx.s - 1.0, idx.p, idx.r)
-    envelope = besov_norm(bank, f, BesovIndex(1.0, math.inf, 1.0)) * besov_norm(
-        bank, v, lower
-    ) + besov_norm(bank, gradient(f), lower) * lp_norm(v, math.inf)
+    envelope = (besov_norm(bank, f, B1) * besov_norm(bank, v, lower)
+                + besov_norm(bank, gradient(f), lower) * lp_norm(v, math.inf))
 
     fv = scale_vector(v, f)
     out = []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,10 +14,14 @@ from dampedeuler.diagnostics import (
     bkm_tail_geometric,
     energy_balance_residual,
     fit_decay_rate,
+    make_record,
     smallness_gamma0_general,
     smallness_gamma1_2d,
     smallness_gamma1_general,
 )
+from dampedeuler.config import build_sim_config, resolve_config
+from dampedeuler.dynamics import initial_state, pressure_gradient
+from dampedeuler.littlewood_paley import build_filter_bank
 
 
 class TestFitDecayRate:
@@ -265,3 +270,45 @@ class TestEnergyBalanceResidual:
         rows = [_Row(0.0, energy=1.0), _Row(0.1, energy=1.0)]
         with pytest.raises(ValueError):
             energy_balance_residual(rows, gamma=0, alpha=1.0)
+
+
+class TestRecordTransformCount:
+    """Real transforms in one make_record on the t = 0 state: the Besov
+    norms of all tracked indices of u and grad Pi share one set of blocks.
+    These are the counts of the current design; lower them when a change
+    saves transforms."""
+
+    TG_N256 = {
+        "physics": {"alpha": 0.5, "gamma": 1},
+        "grid": {"n": 256},
+        "time": {"dt": 1e-3, "t_end": 0.04, "record_every": 40},
+    }
+    DENSE_N128 = {
+        "grid": {"n": 128},
+        "time": {"dt": 5e-3, "t_end": 0.15, "record_every": 1},
+        "ic": {
+            "u_preset": "random_shell",
+            "u_params": {"j": 2, "amplitude": 0.25},
+            "rho_preset": "single_mode",
+            "rho_params": {"k": 1, "amplitude": 0.05},
+        },
+        "track": {"besov_indices": [[1, "inf", 1], [0, 2, 2], [2, 2, 1],
+                                    [0.5, "inf", "inf"], [1, 2, 1], [1.5, "inf", 1]]},
+    }
+
+    @pytest.mark.parametrize("doc, expected", [(TG_N256, 45), (DENSE_N128, 40)],
+                             ids=["tg_uniform_n256", "records_dense_n128"])
+    def test_transforms_per_record(self, monkeypatch, doc, expected):
+        config = build_sim_config(resolve_config(doc))
+        state = initial_state(config)
+        state = replace(state, grad_pi=pressure_gradient(state, config))
+        bank = build_filter_bank(config.grid)
+        calls = dict.fromkeys(("rfftn", "irfftn"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+                calls[_name] += 1
+                return _transform(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        make_record(state, config, bank, None)
+        assert sum(calls.values()) == expected

@@ -52,6 +52,17 @@ class TestTransforms:
         back = ScalarField.from_spectrum(grid64, f.spectrum)
         assert np.abs(back.values - values).max() <= 1e-12 * np.abs(values).max()
 
+    @pytest.mark.parametrize("shape, dtype, held", [
+        ((16, 16), float, lambda g, a: ScalarField.from_values(g, a).values),
+        ((16, 9), complex, lambda g, a: ScalarField.from_spectrum(g, a).spectrum),
+        ((16, 16), float, lambda g, a: VectorField.from_arrays(g, a, a).components[0].values),
+    ], ids=["from_values", "from_spectrum", "from_arrays"])
+    def test_caller_array_stays_writeable(self, grid16, shape, dtype, held):
+        a = np.zeros(shape, dtype)
+        field_array = held(grid16, a)
+        a[0, 0] = 1.0
+        assert field_array[0, 0] == 0.0
+
     def test_spectrum_on_half_lattice(self, grid64):
         values = np.random.default_rng(2).standard_normal(grid64.shape)
         assert ScalarField.from_values(grid64, values).spectrum.shape == (64, 33)

@@ -13,8 +13,10 @@ from dampedeuler.fields import (
     tables,
 )
 from dampedeuler.littlewood_paley import (
+    B1,
     BesovIndex,
     besov_norm,
+    besov_norms,
     build_filter_bank,
     commutator_damping_profile,
     dyadic_block,
@@ -27,8 +29,6 @@ from dampedeuler.littlewood_paley import (
 from dampedeuler.verify import bernstein_ratios
 
 from conftest import random_band_limited, random_band_limited_vector
-
-B1 = BesovIndex(1.0, math.inf, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +162,17 @@ class TestBesovNorm:
                 lower = besov_norm(bank64, f, BesovIndex(1.0 - eps, math.inf, 1.0))
                 upper = besov_norm(bank64, f, B1)
                 assert lower <= 2.0**eps * upper * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_one_pass_equals_one_index_at_a_time(self, bank64, vector):
+        # L^inf first: a pass that took the norms in list order would read
+        # L^2 from the samples of a block instead of its spectrum, which moves
+        # the last bits on some of these draws
+        rng = np.random.default_rng(5)
+        idx = [B1, BesovIndex(0.0, 2.0, 2.0), BesovIndex(1.0, 3.0, 1.0)]
+        for _ in range(10):
+            f = (random_band_limited_vector if vector else random_band_limited)(bank64.grid, rng)
+            assert besov_norms(bank64, f, idx) == tuple(besov_norm(bank64, f, i) for i in idx)
 
 
 class TestBesovIndex:
