@@ -143,9 +143,16 @@ def _run_outputs(out_dir: str) -> tuple[str, str]:
 
 
 def _refuse_existing(command: str, out_dir: str, paths) -> bool:
-    """Report a non-directory out_dir, or else the first of paths that exists; True if either."""
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        print(f"{command} error: --out {out_dir} exists and is not a directory", file=sys.stderr)
+    """Report an out_dir whose nearest existing ancestor (out_dir itself
+    included) is not a directory, or else the first of paths that exists;
+    True if either."""
+    target = base = os.path.abspath(out_dir)
+    while not os.path.lexists(base):  # stops at the root at the latest
+        base = os.path.dirname(base)
+    if not os.path.isdir(base):
+        below = "" if base == target else f"lies below {base}, which "
+        print(f"{command} error: --out {out_dir} {below}exists and is not a directory",
+              file=sys.stderr)
         return True
     existing = next((p for p in paths if os.path.exists(p)), None)
     if existing is not None:

@@ -9,7 +9,8 @@ The state (rho, u) evolves under
 with the pressure gradient recovered each stage from the elliptic solve that
 keeps the tendency divergence-free. Stepping is explicit RK4 with a Leray
 projection after each accepted step; damping is integrated inside the
-tendency (it is not stiff for the coefficient sizes of interest).
+tendency (it is not stiff for the coefficient sizes of interest). A state's
+first stage is solved once and gives both its record's grad Pi and its step.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from functools import partial
 import numpy as np
 
 from .diagnostics import InitialNorms, initial_norms, make_record
-from .elliptic import (PressureSolution, PressureSolveError, PressureSolveParams,
-                       coefficient_bounds, solve_pressure)
+from .elliptic import PressureSolveError, PressureSolveParams, coefficient_bounds, solve_pressure
 from .fields import (
     GridSpec,
     ParameterError,
@@ -36,6 +36,7 @@ from .fields import (
     dealias,
     dealias_vector,
     divergence,
+    gradient,
     leray_project,
     lp_norm,
     perp_gradient,
@@ -246,19 +247,18 @@ def momentum_forcing(state: FluidState, config: SimConfig) -> VectorField:
 
 def pressure_gradient(state: FluidState, config: SimConfig) -> VectorField:
     """Pressure gradient consistent with the current state."""
-    return solve_pressure(state.rho, momentum_forcing(state, config), config.pressure).grad_pi
+    return gradient(_velocity_tendency(state, config)[1])
 
 
-def _velocity_tendency(
-    state: FluidState, config: SimConfig, pi_guess: ScalarField | None = None
-) -> tuple[VectorField, PressureSolution]:
+def _velocity_tendency(state: FluidState, config: SimConfig,
+                       pi_guess: ScalarField | None = None) -> tuple[VectorField, ScalarField]:
     try:
         coefficient_bounds(state.rho)
     except ValueError as exc:
         raise InvariantViolation(f"stage {exc} at t = {state.t:.6g}") from None
     forcing = momentum_forcing(state, config)
     sol = solve_pressure(state.rho, forcing, config.pressure, initial_guess=pi_guess)
-    return -(forcing + sol.accel), sol
+    return -(forcing + sol.accel), sol.pi
 
 
 def momentum_rhs(state: FluidState, config: SimConfig) -> VectorField:
@@ -315,12 +315,12 @@ def _step_count(t_end: float, dt: float) -> int:
     return n_steps
 
 
-def _rk4(rhs, t: float, y: tuple, dt: float) -> tuple:
+def _rk4(rhs, t: float, y: tuple, dt: float, k1: tuple) -> tuple:
     """One classical RK4 step of dy/dt = rhs(t, y) over a tuple of fields,
-    before any truncation of the result. Stages are evaluated in order, so
-    rhs may carry state from one stage to the next. Changing the operand
-    order of the stage arithmetic changes the results in the last bits."""
-    k1 = rhs(t, y)
+    before any truncation of the result, given the first stage k1 = rhs(t, y).
+    The later stages are evaluated in order, so rhs may carry state from one
+    stage to the next. Changing the operand order of the stage arithmetic
+    changes the results in the last bits."""
     k2 = rhs(t + dt / 2, tuple(a + 0.5 * dt * k for a, k in zip(y, k1)))
     k3 = rhs(t + dt / 2, tuple(a + 0.5 * dt * k for a, k in zip(y, k2)))
     k4 = rhs(t + dt, tuple(a + dt * k for a, k in zip(y, k3)))
@@ -357,9 +357,16 @@ def _check_invariants(state: FluidState) -> None:
         )
 
 
-def step_rk4(state: FluidState, config: SimConfig) -> FluidState:
+def _first_stage(state: FluidState, config: SimConfig) -> tuple:
+    """(d_t rho, d_t u, Pi): step_rk4's first stage from state, solved cold."""
+    tendency, pi = _velocity_tendency(state, config)
+    return density_rhs(state), tendency, pi
+
+
+def step_rk4(state: FluidState, config: SimConfig, first: tuple | None = None) -> FluidState:
     """Advance one RK4 step with per-stage pressure solves.
 
+    first is _first_stage(state, config) if the caller has it (same bits).
     The updated velocity is Leray-projected to absorb the O(dt^5) divergence
     drift, and the density/velocity stay truncated to retained modes. State
     invariants are asserted on the result.
@@ -369,18 +376,17 @@ def step_rk4(state: FluidState, config: SimConfig) -> FluidState:
             state,
             rho_bounds=(float(state.rho.values.min()), float(state.rho.values.max())),
         )
-    pi_cache: list[ScalarField | None] = [None]
+    *k1, pi = first or _first_stage(state, config)
 
     def stage(t: float, y: tuple[ScalarField, VectorField]) -> tuple[ScalarField, VectorField]:
+        nonlocal pi
         s = FluidState(t, *y, rho_bounds=state.rho_bounds)
-        # warm-start each stage's pressure solve from the previous stage:
-        # the converged potential is guess-independent
-        tendency, sol = _velocity_tendency(s, config, pi_cache[0])
-        pi_cache[0] = sol.pi
-        del sol  # free its accel before density_rhs allocates: peak memory
+        # warm-start each stage's pressure solve from the previous stage (the converged
+        # potential is guess-independent); pi is rebound before density_rhs: peak memory
+        tendency, pi = _velocity_tendency(s, config, pi)
         return density_rhs(s), tendency
 
-    rho_new, u_new = _rk4(stage, state.t, (state.rho, state.u), config.dt)
+    rho_new, u_new = _rk4(stage, state.t, (state.rho, state.u), config.dt, k1)
     new = FluidState(t=state.t + config.dt, rho=dealias(rho_new),
                      u=leray_project(dealias_vector(u_new)), rho_bounds=state.rho_bounds)
     _check_invariants(new)
@@ -413,19 +419,14 @@ def run_simulation(config: SimConfig) -> SimulationResult:
     n_steps = _step_count(config.t_end, config.dt)
 
     records = []
-
-    def record(s: FluidState) -> FluidState:
-        s = replace(s, grad_pi=pressure_gradient(s, config))
-        prev = records[-1] if records else None
-        records.append(make_record(s, config, bank, prev))
-        return s
-
     try:
-        state = record(state)
-        for step in range(1, n_steps + 1):
-            state = step_rk4(state, config)
+        for step in range(n_steps + 1):
+            if step:
+                state = step_rk4(state, config, first)
+            first = _first_stage(state, config)
             if step % config.record_every == 0 or step == n_steps:
-                state = record(state)
+                state = replace(state, grad_pi=gradient(first[2]))
+                records.append(make_record(state, config, bank, records[-1] if records else None))
     except (InvariantViolation, PressureSolveError) as exc:
         return SimulationResult(records, state, norms, failed=True, failure=str(exc))
     return SimulationResult(records, state, norms, failed=False, failure=None)
@@ -457,7 +458,7 @@ def solve_linear_transport(
     trajectory = [(0.0, f)]
     t = 0.0
     for step in range(1, n_steps + 1):
-        (f,) = _rk4(rhs, t, (f,), dt)
+        (f,) = _rk4(rhs, t, (f,), dt, rhs(t, (f,)))
         f = dealias(f)
         t = step * dt
         if step % record_every == 0 or step == n_steps:

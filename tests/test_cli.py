@@ -412,6 +412,23 @@ class TestRefusedBeforeAnyRun:
         assert f"{command} error: --out {out} exists and is not a directory" in capsys.readouterr().err
         assert out.read_text() == "kept"
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_below_a_file_refused(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("THREADS", "1")
+        cfg = tmp_path / "c.json"
+        write_config(cfg, time={"dt": 2e-3, "t_end": 0.0, "record_every": 1})
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = afile / "sub"
+        monkeypatch.setattr(cli, "run_simulation", _no_simulation)
+        args = ["--config", str(cfg), "--out", str(out)]
+        if command == "sweep":
+            args += ["--param", "physics.alpha", "--values", "0.25,0.5"]
+        assert main([command, *args]) == 1
+        assert (f"{command} error: --out {out} lies below {afile}, which exists and is not "
+                f"a directory") in capsys.readouterr().err
+        assert afile.read_text() == "kept"
+
     @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
     def test_bad_threads_rejected(self, tmp_path, capsys, monkeypatch, threads):
         monkeypatch.setenv("THREADS", threads)

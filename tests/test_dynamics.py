@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dampedeuler.diagnostics import beta0, energy_balance_residual
+from dampedeuler.diagnostics import beta0, energy_balance_residual, make_record
 from dampedeuler.dynamics import (
     FluidState,
     ICRecipe,
@@ -200,6 +201,24 @@ class TestRunSimulation:
         a = run_simulation(cfg).records
         b = run_simulation(cfg).records
         assert a == b
+
+    def test_records_match_a_cold_record_solve(self):
+        # reference loop from the public API: each record solves its own
+        # pressure and each step evaluates its own first stage
+        ic = ICRecipe(rho_preset="single_mode", rho_params={"k": 1, "amplitude": 0.2})
+        cfg = SimConfig(alpha=0.5, gamma=0, grid=GridSpec(n=32), dt=2e-3, t_end=0.01, ic=ic,
+                        record_every=2)
+        bank = build_filter_bank(cfg.grid)
+        state = initial_state(cfg)
+        records = []
+        for step in range(6):
+            if step:
+                state = step_rk4(state, cfg)
+            if step % 2 == 0 or step == 5:
+                state = replace(state, grad_pi=pressure_gradient(state, cfg))
+                records.append(make_record(state, cfg, bank, records[-1] if records else None))
+        assert len(records) == 4
+        assert run_simulation(cfg).records == records
 
     def test_failure_keeps_partial_records(self):
         # contrast 4 with a one-sweep iteration cap cannot converge

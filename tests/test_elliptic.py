@@ -223,4 +223,30 @@ class TestIterationPins:
 
         monkeypatch.setattr(dynamics, "solve_pressure", counted)
         assert not dynamics.run_simulation(config).failed
-        assert (len(iterations), sum(iterations)) == (42, 1304)
+        assert (len(iterations), sum(iterations)) == (41, 1262)
+
+    def test_record_costs_no_solve(self, monkeypatch):
+        # the records_dense_n128 benchmark workload, cut to three steps with a
+        # record after each: 4 solves per step and one for the final state, as
+        # a record takes its grad Pi from the first stage of the state's step
+        config = build_sim_config(resolve_config({
+            "physics": {"alpha": 1.0, "gamma": 1},
+            "grid": {"n": 128},
+            "time": {"dt": 5e-3, "t_end": 0.015, "record_every": 1},
+            "ic": {
+                "u_preset": "random_shell", "u_params": {"j": 2, "amplitude": 0.25},
+                "rho_preset": "single_mode", "rho_params": {"k": 1, "amplitude": 0.05},
+                "seed": 0,
+            },
+        }))
+        iterations = []
+
+        def counted(*args, **kwargs):
+            sol = solve_pressure(*args, **kwargs)
+            iterations.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_pressure", counted)
+        result = dynamics.run_simulation(config)
+        assert not result.failed and len(result.records) == 4
+        assert (len(iterations), sum(iterations)) == (13, 89)
