@@ -11,6 +11,7 @@ keeps the tendency divergence-free. Stepping is explicit RK4 with a Leray
 projection after each accepted step; damping is integrated inside the
 tendency (it is not stiff for the coefficient sizes of interest). A state's
 first stage is solved once and gives both its record's grad Pi and its step.
+Each pressure solve starts from the potential of the one before it, across steps too.
 """
 
 from __future__ import annotations
@@ -357,20 +358,16 @@ def _check_invariants(state: FluidState) -> None:
         )
 
 
-def _first_stage(state: FluidState, config: SimConfig) -> tuple:
-    """(d_t rho, d_t u, Pi): step_rk4's first stage from state, solved cold."""
-    tendency, pi = _velocity_tendency(state, config)
+def _first_stage(state: FluidState, config: SimConfig, pi_guess: ScalarField | None = None) -> tuple:
+    """(d_t rho, d_t u, Pi): step_rk4's first stage from state, its pressure
+    solve started from pi_guess (cold when None)."""
+    tendency, pi = _velocity_tendency(state, config, pi_guess)
     return density_rhs(state), tendency, pi
 
 
-def step_rk4(state: FluidState, config: SimConfig, first: tuple | None = None) -> FluidState:
-    """Advance one RK4 step with per-stage pressure solves.
-
-    first is _first_stage(state, config) if the caller has it (same bits).
-    The updated velocity is Leray-projected to absorb the O(dt^5) divergence
-    drift, and the density/velocity stay truncated to retained modes. State
-    invariants are asserted on the result.
-    """
+def _step(state: FluidState, config: SimConfig, first: tuple | None) -> tuple[FluidState, ScalarField]:
+    """step_rk4, also returning the last stage's potential: a warm start for
+    the first stage of the new state."""
     if state.rho_bounds is None:
         state = replace(
             state,
@@ -390,7 +387,19 @@ def step_rk4(state: FluidState, config: SimConfig, first: tuple | None = None) -
     new = FluidState(t=state.t + config.dt, rho=dealias(rho_new),
                      u=leray_project(dealias_vector(u_new)), rho_bounds=state.rho_bounds)
     _check_invariants(new)
-    return new
+    return new, pi
+
+
+def step_rk4(state: FluidState, config: SimConfig, first: tuple | None = None) -> FluidState:
+    """Advance one RK4 step with per-stage pressure solves.
+
+    first is a _first_stage of state if the caller has it, else it is solved
+    cold; each later stage starts from the previous stage's potential. The
+    updated velocity is Leray-projected to absorb the O(dt^5) divergence
+    drift, and the density/velocity stay truncated to retained modes. State
+    invariants are asserted on the result.
+    """
+    return _step(state, config, first)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +427,13 @@ def run_simulation(config: SimConfig) -> SimulationResult:
     norms = initial_norms(state, bank)
     n_steps = _step_count(config.t_end, config.dt)
 
-    records = []
+    records, pi = [], None  # pi: the last stage's potential of the step that produced state
     try:
         for step in range(n_steps + 1):
             if step:
-                state = step_rk4(state, config, first)
-            first = _first_stage(state, config)
+                state, pi = _step(state, config, first)
+            first = _first_stage(state, config, pi)
+            pi = None  # not held through the next step: peak memory
             if step % config.record_every == 0 or step == n_steps:
                 state = replace(state, grad_pi=gradient(first[2]))
                 records.append(make_record(state, config, bank, records[-1] if records else None))

@@ -4,9 +4,9 @@ The discrete operator is the dealiased pseudo-spectral one: derivatives are
 spectral and the coefficient product is truncated with the 2/3 rule, which is
 exactly the operator the momentum tendency needs so that its divergence
 vanishes; the solve also returns that tendency's pressure term dealias((1/rho)
-grad Pi). It is a fixed-point iteration preconditioned by the constant
-coefficient inverse Laplacian (midpoint split), which converged at every
-density contrast tried in about linearly growing iteration counts.
+grad Pi). It is solved by conjugate gradients preconditioned by the constant
+coefficient inverse Laplacian (midpoint coefficient), in iteration counts
+growing about with the square root of the density contrast.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .fields import (
     _fftn,
     _half_tables,
     _ifftn_real,
+    _parseval_dot,
     _parseval_l2,
     dealiased_product,
     divergence,
@@ -31,7 +32,7 @@ from .littlewood_paley import B1, BesovIndex, DyadicFilterBank, besov_norm
 
 
 class PressureSolveError(RuntimeError):
-    """Fixed-point iteration failed to reach tolerance."""
+    """Non-finite source, or no convergence within max_iter operator evaluations."""
 
     def __init__(self, message, residual, iterations):
         super().__init__(message)
@@ -138,38 +139,49 @@ def solve_pressure(
         zero = ScalarField.zero(grid)
         return PressureSolution(zero, VectorField((zero, zero)), 1, rhs_norm, (rhs_norm,))
 
-    # constant-coefficient initial guess: -abar * Lap(Pi) = rhs. Each pass
-    # evaluates the residual res = -div(a grad Pi) - rhs and applies the
-    # preconditioned correction Pi <- Pi - (-abar Lap)^{-1} res, which is
-    # algebraically the midpoint-split fixed point
-    # Pi <- (-Lap)^{-1} [ (rhs + div(dealias((a - abar) grad Pi))) / abar ].
-    if initial_guess is not None:
-        pi_hat = initial_guess.spectrum * t.dealias_mask
-    else:
+    # preconditioned conjugate gradients on the Parseval inner product, with
+    # (-abar Lap)^{-1} as preconditioner; res = -div(a grad Pi) - rhs and the
+    # flux of Pi are updated recursively, one operator evaluation per
+    # iteration. With a constant coefficient that preconditioner is the exact
+    # inverse, so the first evaluation returns.
+    if initial_guess is None or bounds.uniform:
         pi_hat = rhs_hat * t.inv_neg_lap / abar
-    history = []
-    iterations = 0
-    while True:
-        iterations += 1
-        if bounds.uniform:
-            res_hat = abar * t.ksq * pi_hat - rhs_hat
-        else:
-            res_hat, *flux = operator_residual(a, pi_hat, rhs_hat, grid)
-        residual = _parseval_l2(res_hat) / rhs_norm
-        history.append(residual)
-        if residual <= params.tol:
-            break
-        if iterations >= params.max_iter:
+    else:
+        pi_hat = initial_guess.spectrum * t.dealias_mask
+    if bounds.uniform:
+        res_hat = abar * t.ksq * pi_hat - rhs_hat
+    else:
+        res_hat, *flux = operator_residual(a, pi_hat, rhs_hat, grid)
+    del rhs_hat  # the residual is updated without it from here on: peak memory
+    iterations = 1
+    residual = _parseval_l2(res_hat) / rhs_norm
+    history = [residual]
+    p_hat, rz = 0.0, 1.0  # a scalar zero: the first search direction is z
+    while not residual <= params.tol:  # a NaN residual fails too
+        if bounds.uniform or iterations >= params.max_iter:
             raise PressureSolveError(
                 f"pressure solve stalled at residual {residual:.3e} "
                 f"after {iterations} iterations (tol {params.tol:.1e})",
                 residual=residual,
                 iterations=iterations,
             )
-        pi_hat = pi_hat - res_hat * t.inv_neg_lap / abar
-        flux = None  # free before the next evaluation: peak memory
+        z_hat = res_hat * t.inv_neg_lap / abar
+        rz_old, rz = rz, _parseval_dot(res_hat, z_hat)
+        p_hat *= rz / rz_old
+        p_hat += z_hat
+        del z_hat
+        ap_hat, *flux_p = operator_residual(a, p_hat, 0.0, grid)
+        step = -rz / _parseval_dot(p_hat, ap_hat)
+        for x, dx in zip((res_hat, *flux), (ap_hat, *flux_p)):
+            dx *= step
+            x += dx
+        del ap_hat, flux_p, dx  # free before the next evaluation: peak memory
+        pi_hat += step * p_hat
+        iterations += 1
+        residual = _parseval_l2(res_hat) / rhs_norm
+        history.append(residual)
 
-    del a, rhs_hat, res_hat  # free before the outputs are built: peak memory
+    del a, res_hat, p_hat  # free before the outputs are built: peak memory
     pi_hat.flat[0] = 0.0  # zero-mean gauge; pi_hat is always a fresh array here
     pi = ScalarField(grid, spectrum=pi_hat)
     accel = (gradient(pi) * bounds.a_star if bounds.uniform

@@ -155,14 +155,16 @@ def _ifftn_real(spectrum: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(spectrum, s=(n, n), axes=(0, 1))
 
 
+def _parseval_dot(x: np.ndarray, y: np.ndarray) -> float:
+    """n^4 times the L^2 inner product (normalized measure) of the real samples
+    of two half spectra. Columns 1..n/2-1 stand for their mirror columns too
+    and count twice; the self-conjugate columns 0 and n/2 count once."""
+    return (2.0 * np.vdot(x, y) - np.vdot(x[:, 0], y[:, 0]) - np.vdot(x[:, -1], y[:, -1])).real
+
+
 def _parseval_l2(spectrum: np.ndarray) -> float:
-    """L^2 norm (normalized measure) of the real samples of a half spectrum.
-    Columns 1..n/2-1 stand for their mirror columns too and count twice; the
-    self-conjugate columns 0 and n/2 count once."""
-    col0, col_nyquist = spectrum[:, 0], spectrum[:, -1]
-    total = (2.0 * np.vdot(spectrum, spectrum) - np.vdot(col0, col0)
-             - np.vdot(col_nyquist, col_nyquist)).real
-    return math.sqrt(total) / spectrum.shape[0] ** 2
+    """L^2 norm (normalized measure) of the real samples of a half spectrum."""
+    return math.sqrt(_parseval_dot(spectrum, spectrum)) / spectrum.shape[0] ** 2
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

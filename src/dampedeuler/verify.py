@@ -2,7 +2,7 @@
 
 Each check returns a CheckResult; `run_verification` bundles them into the
 quick (N = 64) or full (adds N = 128 consistency and the dense elliptic
-oracle at N = 16) levels used by the command-line `verify` subcommand.
+oracle at N = 16, contrast 1.5, 10, 100) levels of `dampedeuler verify`.
 """
 
 from __future__ import annotations
@@ -163,13 +163,13 @@ def check_energy_balance(n: int = 64, alpha: float = 0.5, t_end: float = 1.0, dt
     )
 
 
-def check_dense_elliptic_oracle(n: int = 16, seed: int = 0) -> CheckResult:
-    """Fixed-point pressure solve against a dense direct solve of the same
-    discrete operator."""
+def check_dense_elliptic_oracle(n: int = 16, seed: int = 0, contrast: float = 1.5) -> CheckResult:
+    """Conjugate-gradient pressure solve against a dense direct solve of the
+    same discrete operator, on the density 1 + A cos(x) with max/min = contrast."""
     grid = GridSpec(n=n)
     rng = np.random.default_rng(seed)
     x, _ = grid.nodes()
-    rho = dealias(ScalarField.from_values(grid, 1.0 + 0.2 * np.cos(x)))
+    rho = dealias(ScalarField.from_values(grid, 1.0 + (contrast - 1.0) / (contrast + 1.0) * np.cos(x)))
     F = VectorField((random_dealiased_field(grid, rng), random_dealiased_field(grid, rng)))
     sol = elliptic.solve_pressure(rho, F)
 
@@ -197,7 +197,7 @@ def check_dense_elliptic_oracle(n: int = 16, seed: int = 0) -> CheckResult:
     return CheckResult(
         "dense_elliptic_oracle",
         err <= 1e-8,
-        f"relative disagreement with dense solve = {err:.3e}",
+        f"relative disagreement with dense solve at contrast {contrast:g} = {err:.3e}",
     )
 
 
@@ -216,7 +216,7 @@ def run_verification(level: str = "quick") -> list[CheckResult]:
     if level == "full":
         checks.append(lambda: check_partition_of_unity(128))
         checks.append(lambda: check_bernstein((64, 128)))
-        checks.append(lambda: check_dense_elliptic_oracle(16))
+        checks.extend(lambda c=c: check_dense_elliptic_oracle(16, contrast=c) for c in (1.5, 10.0, 100.0))
     results = []
     for check in checks:
         start = time.perf_counter()

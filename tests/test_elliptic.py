@@ -12,13 +12,17 @@ from dampedeuler.elliptic import (
     besov_pressure_ratio,
     coefficient_bounds,
     lax_milgram_check,
+    operator_residual,
     solve_pressure,
 )
 from dampedeuler.fields import (
     GridSpec,
     ScalarField,
     VectorField,
+    _half_tables,
+    _parseval_l2,
     dealias,
+    divergence,
     gradient,
     leray_project,
     lp_norm,
@@ -88,6 +92,29 @@ class TestVariableCoefficient:
     def test_matches_dense_direct_solve(self):
         result = check_dense_elliptic_oracle(16)
         assert result.passed, result.detail
+
+    @pytest.mark.parametrize("contrast", [10.0, 100.0])
+    def test_matches_dense_direct_solve_at_high_contrast(self, contrast):
+        result = check_dense_elliptic_oracle(16, contrast=contrast)
+        assert result.passed, result.detail
+
+    @pytest.mark.parametrize("contrast", [4.0, 100.0])
+    def test_reports_the_true_residual_and_flux(self, contrast):
+        # the residual and the flux are updated recursively in the solve; they
+        # must agree with a fresh evaluation of the operator on the answer
+        grid = GridSpec(n=64)
+        rng = np.random.default_rng(12)
+        F = VectorField((random_dealiased_field(grid, rng), random_dealiased_field(grid, rng)))
+        rho = dynamics.rho_gaussian_bump(grid, amplitude=contrast - 1.0)
+        sol = solve_pressure(rho, F)
+        t = _half_tables(grid)
+        rhs_hat = divergence(F).spectrum * t.dealias_mask
+        res_hat, *flux = operator_residual(1.0 / rho.values, sol.pi.spectrum, rhs_hat, grid)
+        true_residual = _parseval_l2(res_hat) / _parseval_l2(rhs_hat)
+        assert max(sol.residual, true_residual) <= PressureSolveParams().tol
+        assert sol.residual == pytest.approx(true_residual, rel=1e-3)
+        flux = VectorField(ScalarField.from_spectrum(grid, f) for f in flux)
+        assert lp_norm(sol.accel - flux, math.inf) <= 1e-13 * lp_norm(flux, math.inf)
 
     def test_residual_monotone_for_moderate_contrast(self, grid64):
         rng = np.random.default_rng(2)
@@ -194,7 +221,9 @@ class TestIterationPins:
     """Pressure iterations of the current solver. Lower these pins when a
     solver change lands; never raise them to make a change pass."""
 
-    @pytest.mark.parametrize("contrast, expected", [(1.2, 10), (2.0, 21), (4.0, 45), (10.0, 113)])
+    @pytest.mark.parametrize("contrast, expected", [
+        (1.2, 8), (2.0, 14), (4.0, 21), (10.0, 35), (31.0, 63), (100.0, 116),
+    ])
     def test_gaussian_bump_solve(self, contrast, expected):
         grid = GridSpec(n=64)
         rng = np.random.default_rng(0)
@@ -223,7 +252,7 @@ class TestIterationPins:
 
         monkeypatch.setattr(dynamics, "solve_pressure", counted)
         assert not dynamics.run_simulation(config).failed
-        assert (len(iterations), sum(iterations)) == (41, 1262)
+        assert (len(iterations), sum(iterations)) == (41, 492)
 
     def test_record_costs_no_solve(self, monkeypatch):
         # the records_dense_n128 benchmark workload, cut to three steps with a
@@ -249,4 +278,23 @@ class TestIterationPins:
         monkeypatch.setattr(dynamics, "solve_pressure", counted)
         result = dynamics.run_simulation(config)
         assert not result.failed and len(result.records) == 4
-        assert (len(iterations), sum(iterations)) == (13, 89)
+        assert (len(iterations), sum(iterations)) == (13, 67)
+
+
+class TestWorkingRange:
+    def test_bump_contrast100_run(self):
+        # the bump_contrast4_n64 benchmark workload at amplitude 99, cut to
+        # ten steps: every pressure solve must converge
+        config = build_sim_config(resolve_config({
+            "physics": {"alpha": 1.0, "gamma": 0},
+            "grid": {"n": 64},
+            "time": {"dt": 2e-3, "t_end": 0.02, "record_every": 10},
+            "ic": {
+                "u_preset": "random_shell", "u_params": {"j": 2, "amplitude": 0.25},
+                "rho_preset": "gaussian_bump", "rho_params": {"width": 0.8, "amplitude": 99.0},
+                "seed": 0,
+            },
+        }))
+        result = dynamics.run_simulation(config)
+        assert not result.failed, result.failure
+        assert [r.t for r in result.records] == pytest.approx([0.0, 0.02])
