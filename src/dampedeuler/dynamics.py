@@ -9,9 +9,9 @@ The state (rho, u) evolves under
 with the pressure gradient recovered each stage from the elliptic solve that
 keeps the tendency divergence-free. Stepping is explicit RK4 with a Leray
 projection after each accepted step; damping is integrated inside the
-tendency (it is not stiff for the coefficient sizes of interest). A state's
-first stage is solved once and gives both its record's grad Pi and its step.
-Each pressure solve starts from the potential of the one before it, across steps too.
+tendency (it is not stiff for the coefficient sizes of interest). A run's
+stepper starts each pressure solve from the last potential solved, across
+steps too; a state's first stage gives both its record's grad Pi and its step.
 """
 
 from __future__ import annotations
@@ -81,13 +81,7 @@ class SimConfig:
             raise ParameterError("alpha", f"must be >= 0, got {self.alpha}")
         if self.gamma not in (0, 1):
             raise ParameterError("gamma", f"must be 0 or 1, got {self.gamma}")
-        if not self.dt > 0:
-            raise ParameterError("dt", f"must be positive, got {self.dt}")
-        if not self.t_end >= 0:
-            raise ParameterError("t_end", f"must be >= 0, got {self.t_end}")
-        _step_count(self.t_end, self.dt)
-        if not self.record_every >= 1:
-            raise ParameterError("record_every", f"must be >= 1, got {self.record_every}")
+        _step_count(self.t_end, self.dt, self.record_every)
 
 
 @dataclass(frozen=True)
@@ -248,23 +242,14 @@ def momentum_forcing(state: FluidState, config: SimConfig) -> VectorField:
 
 def pressure_gradient(state: FluidState, config: SimConfig) -> VectorField:
     """Pressure gradient consistent with the current state."""
-    return gradient(_velocity_tendency(state, config)[1])
-
-
-def _velocity_tendency(state: FluidState, config: SimConfig,
-                       pi_guess: ScalarField | None = None) -> tuple[VectorField, ScalarField]:
-    try:
-        coefficient_bounds(state.rho)
-    except ValueError as exc:
-        raise InvariantViolation(f"stage {exc} at t = {state.t:.6g}") from None
-    forcing = momentum_forcing(state, config)
-    sol = solve_pressure(state.rho, forcing, config.pressure, initial_guess=pi_guess)
-    return -(forcing + sol.accel), sol.pi
+    stepper = _Stepper(config)
+    stepper.velocity_tendency(state)
+    return gradient(stepper.pi)
 
 
 def momentum_rhs(state: FluidState, config: SimConfig) -> VectorField:
     """Velocity tendency -u . grad u - (1/rho) grad Pi - alpha rho^(gamma-1) u."""
-    return _velocity_tendency(state, config)[0]
+    return _Stepper(config).velocity_tendency(state)
 
 
 def density_rhs(state: FluidState) -> ScalarField:
@@ -306,13 +291,19 @@ def rescaled_view(state: FluidState, beta: float) -> tuple[VectorField, VectorFi
 # stepping
 
 
-def _step_count(t_end: float, dt: float) -> int:
+def _step_count(t_end: float, dt: float, record_every: int) -> int:
     """Number of steps of size dt to reach t_end, which must be a whole
-    multiple of dt (to 1e-9 relative)."""
+    multiple of dt (to 1e-9 relative); also checks the record stride."""
+    if not 0 < dt < math.inf:
+        raise ParameterError("dt", f"must be positive and finite, got {dt}")
+    if not 0 <= t_end < math.inf:
+        raise ParameterError("t_end", f"must be >= 0 and finite, got {t_end}")
     ratio = t_end / dt
     n_steps = round(ratio)
     if abs(ratio - n_steps) > 1e-9 * ratio:
         raise ParameterError("t_end", f"{t_end:g} is not a whole number of steps of dt = {dt:g}")
+    if not (record_every >= 1 and float(record_every).is_integer()):
+        raise ParameterError("record_every", f"must be a whole number >= 1, got {record_every}")
     return n_steps
 
 
@@ -358,48 +349,52 @@ def _check_invariants(state: FluidState) -> None:
         )
 
 
-def _first_stage(state: FluidState, config: SimConfig, pi_guess: ScalarField | None = None) -> tuple:
-    """(d_t rho, d_t u, Pi): step_rk4's first stage from state, its pressure
-    solve started from pi_guess (cold when None)."""
-    tendency, pi = _velocity_tendency(state, config, pi_guess)
-    return density_rhs(state), tendency, pi
+class _Stepper:
+    """A run's stepping context. pi is the last potential solved, and the next
+    pressure solve starts from it (the converged potential does not depend on
+    the guess): a state's first stage from the last stage of the step before,
+    each later stage from the stage before."""
+
+    def __init__(self, config: SimConfig):
+        self.config, self.pi = config, None
+
+    def velocity_tendency(self, state: FluidState) -> VectorField:
+        """d_t u at state; its solve starts from pi and leaves the new potential there."""
+        try:
+            coefficient_bounds(state.rho)
+        except ValueError as exc:
+            raise InvariantViolation(f"stage {exc} at t = {state.t:.6g}") from None
+        forcing = momentum_forcing(state, self.config)
+        sol = solve_pressure(state.rho, forcing, self.config.pressure, initial_guess=self.pi)
+        self.pi = sol.pi
+        return -(forcing + sol.accel)
+
+    def tendency(self, state: FluidState) -> tuple[ScalarField, VectorField]:
+        """(d_t rho, d_t u) at state."""
+        velocity = self.velocity_tendency(state)  # first, so the old pi is freed: peak memory
+        return density_rhs(state), velocity
+
+    def step(self, state: FluidState, k1: tuple) -> FluidState:
+        """One RK4 step from state, given its first stage k1 = tendency(state)."""
+        bounds = state.rho_bounds or (float(state.rho.values.min()), float(state.rho.values.max()))
+        rho_new, u_new = _rk4(lambda t, y: self.tendency(FluidState(t, *y, rho_bounds=bounds)),
+                              state.t, (state.rho, state.u), self.config.dt, k1)
+        new = FluidState(t=state.t + self.config.dt, rho=dealias(rho_new),
+                         u=leray_project(dealias_vector(u_new)), rho_bounds=bounds)
+        _check_invariants(new)
+        return new
 
 
-def _step(state: FluidState, config: SimConfig, first: tuple | None) -> tuple[FluidState, ScalarField]:
-    """step_rk4, also returning the last stage's potential: a warm start for
-    the first stage of the new state."""
-    if state.rho_bounds is None:
-        state = replace(
-            state,
-            rho_bounds=(float(state.rho.values.min()), float(state.rho.values.max())),
-        )
-    *k1, pi = first or _first_stage(state, config)
-
-    def stage(t: float, y: tuple[ScalarField, VectorField]) -> tuple[ScalarField, VectorField]:
-        nonlocal pi
-        s = FluidState(t, *y, rho_bounds=state.rho_bounds)
-        # warm-start each stage's pressure solve from the previous stage (the converged
-        # potential is guess-independent); pi is rebound before density_rhs: peak memory
-        tendency, pi = _velocity_tendency(s, config, pi)
-        return density_rhs(s), tendency
-
-    rho_new, u_new = _rk4(stage, state.t, (state.rho, state.u), config.dt, k1)
-    new = FluidState(t=state.t + config.dt, rho=dealias(rho_new),
-                     u=leray_project(dealias_vector(u_new)), rho_bounds=state.rho_bounds)
-    _check_invariants(new)
-    return new, pi
-
-
-def step_rk4(state: FluidState, config: SimConfig, first: tuple | None = None) -> FluidState:
+def step_rk4(state: FluidState, config: SimConfig) -> FluidState:
     """Advance one RK4 step with per-stage pressure solves.
 
-    first is a _first_stage of state if the caller has it, else it is solved
-    cold; each later stage starts from the previous stage's potential. The
-    updated velocity is Leray-projected to absorb the O(dt^5) divergence
-    drift, and the density/velocity stay truncated to retained modes. State
-    invariants are asserted on the result.
+    The first stage's solve is cold; each later stage starts from the
+    previous stage's potential. The updated velocity is Leray-projected to
+    absorb the O(dt^5) divergence drift, and the density/velocity stay
+    truncated to retained modes. State invariants are asserted on the result.
     """
-    return _step(state, config, first)[0]
+    stepper = _Stepper(config)
+    return stepper.step(state, stepper.tendency(state))
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +406,11 @@ class SimulationResult:
     records: list  # DiagnosticsRecord rows, in time order
     final_state: FluidState | None
     initial_norms: InitialNorms  # of the t = 0 state, for the condition reports
-    failed: bool = False
     failure: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.failure is not None
 
 
 def run_simulation(config: SimConfig) -> SimulationResult:
@@ -425,21 +423,20 @@ def run_simulation(config: SimConfig) -> SimulationResult:
     bank = build_filter_bank(config.grid)
     state = initial_state(config)
     norms = initial_norms(state, bank)
-    n_steps = _step_count(config.t_end, config.dt)
+    n_steps = _step_count(config.t_end, config.dt, config.record_every)
 
-    records, pi = [], None  # pi: the last stage's potential of the step that produced state
+    stepper, records, failure = _Stepper(config), [], None
     try:
         for step in range(n_steps + 1):
             if step:
-                state, pi = _step(state, config, first)
-            first = _first_stage(state, config, pi)
-            pi = None  # not held through the next step: peak memory
+                state = stepper.step(state, k1)
+            k1 = stepper.tendency(state)
             if step % config.record_every == 0 or step == n_steps:
-                state = replace(state, grad_pi=gradient(first[2]))
+                state = replace(state, grad_pi=gradient(stepper.pi))
                 records.append(make_record(state, config, bank, records[-1] if records else None))
     except (InvariantViolation, PressureSolveError) as exc:
-        return SimulationResult(records, state, norms, failed=True, failure=str(exc))
-    return SimulationResult(records, state, norms, failed=False, failure=None)
+        failure = str(exc)
+    return SimulationResult(records, state, norms, failure)
 
 
 def solve_linear_transport(
@@ -463,7 +460,7 @@ def solve_linear_transport(
             out = out + forcing(t)
         return (out,)
 
-    n_steps = _step_count(t_end, dt)
+    n_steps = _step_count(t_end, dt, record_every)
     f = dealias(f0)
     trajectory = [(0.0, f)]
     t = 0.0

@@ -57,6 +57,8 @@ class GridSpec:
     def __post_init__(self):
         if not (self.n >= 8 and (self.n & (self.n - 1)) == 0):
             raise ParameterError("n", f"must be a power of two >= 8, got {self.n}")
+        if not 0.0 < self.length < math.inf:
+            raise ParameterError("length", f"must be positive and finite, got {self.length}")
         if not 0.0 < self.dealias_fraction <= 1.0:
             raise ParameterError("dealias_fraction", "must lie in (0, 1]")
         if self.k_max < 2:
@@ -404,7 +406,7 @@ def lp_norm(f: Field, p: float) -> float:
 
     Vector fields are measured through their pointwise Euclidean magnitude.
     """
-    if p < 1:
+    if not p >= 1:  # a NaN p fails too
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 2:
         # Parseval: avoids inverse transforms when only spectra exist

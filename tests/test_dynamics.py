@@ -10,8 +10,8 @@ from dampedeuler.dynamics import (
     ICRecipe,
     InvariantViolation,
     SimConfig,
-    _first_stage,
-    _step,
+    SimulationResult,
+    _Stepper,
     density_rhs,
     initial_state,
     momentum_rhs,
@@ -28,6 +28,7 @@ from dampedeuler.dynamics import (
 )
 from dampedeuler.fields import (
     GridSpec,
+    ParameterError,
     ScalarField,
     VectorField,
     curl2d,
@@ -147,6 +148,33 @@ class TestFailLoudly:
                 lambda t: VectorField.zero(grid64), ScalarField.zero(grid64), t_end=0.01, dt=0.003
             )
 
+    # (keyword arguments, parameter the error must name); each value is off
+    # the step lattice: a non-finite or non-positive dt, a non-finite t_end,
+    # or a record stride that is not a whole number >= 1. The SimConfig test
+    # takes the first three; test_config covers its non-positive dt and
+    # record_every.
+    LATTICE = [
+        (dict(dt=math.inf, t_end=1.0), "dt"),
+        (dict(dt=0.1, t_end=math.inf), "t_end"),
+        (dict(dt=0.1, t_end=1.0, record_every=1.5), "record_every"),
+        (dict(dt=0.0, t_end=1.0), "dt"),
+        (dict(dt=-0.1, t_end=1.0), "dt"),
+        (dict(dt=0.1, t_end=1.0, record_every=0), "record_every"),
+        (dict(dt=0.1, t_end=1.0, record_every=-1), "record_every"),
+    ]
+
+    @pytest.mark.parametrize("kwargs, name", LATTICE[:3])
+    def test_sim_config_rejects_off_lattice(self, kwargs, name):
+        with pytest.raises(ParameterError, match=f"^{name}: "):
+            tg_config(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", LATTICE)
+    def test_linear_transport_rejects_off_lattice(self, grid64, kwargs, name):
+        with pytest.raises(ParameterError, match=f"^{name}: "):
+            solve_linear_transport(
+                lambda t: VectorField.zero(grid64), ScalarField.zero(grid64), **kwargs
+            )
+
 
 class TestTransformCount:
     """Real transforms in one RK4 step at n = 64, and no complex ones. These
@@ -212,18 +240,26 @@ class TestRunSimulation:
                          record_every=2)
 
     def test_records_are_their_states_first_stage(self):
-        # reference loop through the private helpers: each record solves its
-        # own pressure and each step evaluates its own first stage, both
+        # reference loop through fresh private steppers: each record solves
+        # its own pressure and each step evaluates its own first stage, both
         # started from the last stage's potential of the step before
         cfg = self._records_config()
         bank = build_filter_bank(cfg.grid)
         state = initial_state(cfg)
         records, pi = [], None
+
+        def solved_first_stage(state):
+            stepper = _Stepper(cfg)
+            stepper.pi = pi
+            return stepper, stepper.tendency(state)
+
         for step in range(6):
             if step:
-                state, pi = _step(state, cfg, _first_stage(state, cfg, pi))
+                stepper, k1 = solved_first_stage(state)
+                state = stepper.step(state, k1)
+                pi = stepper.pi
             if step % 2 == 0 or step == 5:
-                state = replace(state, grad_pi=gradient(_first_stage(state, cfg, pi)[2]))
+                state = replace(state, grad_pi=gradient(solved_first_stage(state)[0].pi))
                 records.append(make_record(state, cfg, bank, records[-1] if records else None))
         assert len(records) == 4
         assert run_simulation(cfg).records == records
@@ -260,6 +296,10 @@ class TestRunSimulation:
         assert res.failed
         assert res.failure
         assert len(res.records) == 0  # fails in the very first record's solve
+
+    def test_failed_is_read_from_failure(self):
+        assert SimulationResult([], None, None, failure="stalled").failed
+        assert not SimulationResult([], None, None).failed
 
     def test_cfl_warning(self):
         with pytest.warns(UserWarning, match="CFL"):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dampedeuler.fields import (
     GridSpec,
+    ParameterError,
     ScalarField,
     VectorField,
     advect,
@@ -42,6 +43,11 @@ class TestGridSpec:
     def test_rejects_tiny_cutoff(self):
         with pytest.raises(ValueError):
             GridSpec(n=8, dealias_fraction=0.3)
+
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_length(self, length):
+        with pytest.raises(ParameterError, match="^length: "):
+            GridSpec(n=16, length=length)
 
 
 class TestTransforms:
@@ -239,6 +245,13 @@ class TestLpNorm:
     def test_rejects_p_below_one(self, grid64):
         with pytest.raises(ValueError):
             lp_norm(ScalarField.constant(grid64, 1.0), 0.5)
+
+    def test_rejects_nan_p(self, grid64):
+        # unchecked, a NaN p gives 1.0 on a constant field and NaN on others
+        x, _ = grid64.nodes()
+        for values in (np.ones(grid64.shape), np.sin(x)):
+            with pytest.raises(ValueError, match="p must be >= 1"):
+                lp_norm(ScalarField.from_values(grid64, values), math.nan)
 
     def test_vector_parseval_matches_values_path(self, grid64):
         rng = np.random.default_rng(9)
