@@ -13,14 +13,12 @@ is echoed into summary.json to make runs reproducible from their outputs.
 from __future__ import annotations
 
 import json
-import math
-import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 
 from .dynamics import ICRecipe, SimConfig, preset_factories
 from .elliptic import PressureSolveParams
-from .fields import GridSpec, ParameterError
+from .fields import GridSpec, ParameterError, _number
 from .littlewood_paley import BesovIndex
 from .diagnostics import SmallnessParams
 
@@ -49,27 +47,15 @@ _DEFAULTS = {
 _JSON_TYPES = {str: "string", dict: "object", list: "array"}
 
 
-def _number(value, path: str, inf_ok: bool = False) -> float:
-    """A JSON number that fits a finite float; with inf_ok, also "inf" or Infinity."""
-    if inf_ok and value in ("inf", math.inf):
-        return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        expected = 'a finite number or "inf"' if inf_ok else "a finite number"
-        raise ConfigError(path, f"expected {expected}, got {value!r}")
-    return float(value)
-
-
 def _require_type(doc: dict, section: str, key: str) -> None:
     """The value must have its default's JSON type; numbers must be finite,
     and integers where the default is one."""
     default, value = _DEFAULTS[section][key], doc[section][key]
-    path = f"{section}.{key}"
     if isinstance(default, (int, float)):
-        _number(value, path)
-        if isinstance(default, int) and int(value) != value:
-            raise ConfigError(path, f"expected an integer, got {value!r}")
+        with named_keys():
+            _number(key, value, integer=isinstance(default, int))
     elif not isinstance(value, type(default)):
-        raise ConfigError(path, f"expected a JSON {_JSON_TYPES[type(default)]}, got {value!r}")
+        raise ConfigError(f"{section}.{key}", f"expected a JSON {_JSON_TYPES[type(default)]}, got {value!r}")
 
 
 @contextmanager
@@ -112,10 +98,9 @@ def parse_besov_indices(raw, path="track.besov_indices") -> tuple[BesovIndex, ..
         where = f"{path}[{i}]"
         if not isinstance(triple, list) or len(triple) != 3:
             raise ConfigError(where, f"expected [s, p, r], got {triple!r}")
-        s, p, r = (_number(triple[0], where), _number(triple[1], where, True),
-                   _number(triple[2], where, True))
         try:
-            out.append(BesovIndex(s, p, r))
+            out.append(BesovIndex(_number("s", triple[0]), _number("p", triple[1], inf_ok=True),
+                                  _number("r", triple[2], inf_ok=True)))
         except ParameterError as exc:
             raise ConfigError(where, f"{exc.name} {exc.message}") from None
     return tuple(out)

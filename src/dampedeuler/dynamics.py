@@ -31,6 +31,7 @@ from .fields import (
     ParameterError,
     ScalarField,
     VectorField,
+    _number,
     advect,
     advect_vector,
     apply_multiplier,
@@ -173,7 +174,9 @@ RHO_PRESETS = {
 
 def preset_factories(config: SimConfig) -> list[partial]:
     """The velocity and density preset factories of config.ic, with their
-    parameters bound and checked by name; builds no arrays."""
+    parameters bound and checked by name; builds no arrays. Every parameter
+    must be a finite number, and a whole number where the preset's default is
+    an int (it is passed on as an int)."""
     ic = config.ic
     u_params = dict(ic.u_params or {})
     if ic.u_preset == "random_shell":
@@ -185,9 +188,13 @@ def preset_factories(config: SimConfig) -> list[partial]:
     ):
         if preset not in table:
             raise ParameterError(f"{kind}_preset", f"unknown preset {preset!r}")
+        signature = inspect.signature(table[preset])
         try:
-            bound = inspect.signature(table[preset]).bind(config.grid, **params)
-        except TypeError as exc:
+            bound = signature.bind(config.grid, **params)
+            for name, value in params.items():
+                integer = isinstance(signature.parameters[name].default, int)
+                bound.arguments[name] = _number(name, value, integer=integer)
+        except (TypeError, ParameterError) as exc:
             raise ParameterError(f"{kind}_params", f"rejected by preset {preset!r}: {exc}") from None
         factories.append(partial(table[preset], *bound.args, **bound.kwargs))
     return factories

@@ -16,6 +16,7 @@ array), so fields are safe to share across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -34,6 +35,20 @@ class ParameterError(ValueError):
 
     def __str__(self) -> str:
         return f"{self.name}: {self.message}"
+
+
+def _number(name: str, value, integer: bool = False, inf_ok: bool = False) -> float | int:
+    """value as a finite float, or, where integer is set, as an int if it is a
+    whole number; with inf_ok, "inf" and Infinity also pass, as math.inf.
+    Anything else, bools and strings included, raises ParameterError(name, ...)."""
+    if inf_ok and value in ("inf", math.inf):
+        return math.inf
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        expected = 'a finite number or "inf"' if inf_ok else "a finite number"
+        raise ParameterError(name, f"expected {expected}, got {value!r}")
+    if integer and int(value) != value:
+        raise ParameterError(name, f"expected an integer, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 @dataclass(frozen=True)
@@ -80,8 +95,8 @@ class GridSpec:
 
 
 class SpectralTables(NamedTuple):
-    """Wavenumber tables over the full (n, n) lattice, as public callers index
-    them; the operators read their half-lattice restriction (_half_tables)."""
+    """Wavenumber tables over the half lattice (n, n//2 + 1) of the spectra
+    (_half_tables); tables(grid) spans the full (n, n) lattice."""
 
     kx: np.ndarray          # derivative wavenumber, axis 0 (Nyquist zeroed)
     ky: np.ndarray          # derivative wavenumber, axis 1 (Nyquist zeroed)
@@ -94,11 +109,12 @@ class SpectralTables(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _tables_for(n: int, length: float, dealias_fraction: float) -> SpectralTables:
+def _tables_for(n: int, length: float, dealias_fraction: float, cols: int) -> SpectralTables:
+    """The tables on columns 0..cols-1 (FFT order) of the (n, n) lattice."""
     modes = (np.arange(n) + n // 2) % n - n // 2  # integer mode indices, FFT order
     scale = TWO_PI / length
     raw = scale * modes
-    rx, ry = np.meshgrid(raw, raw, indexing="ij")
+    rx, ry = np.meshgrid(raw, raw[:cols], indexing="ij")
     k_mag = np.sqrt(rx**2 + ry**2)
 
     # Odd derivatives of the (unpaired) Nyquist mode are sign-ambiguous;
@@ -107,12 +123,12 @@ def _tables_for(n: int, length: float, dealias_fraction: float) -> SpectralTable
     # holds mode by mode.
     d1 = raw.copy()
     d1[n // 2] = 0.0
-    kx, ky = np.meshgrid(d1, d1, indexing="ij")
+    kx, ky = np.meshgrid(d1, d1[:cols], indexing="ij")
     ksq = kx**2 + ky**2
     ddx, ddy = 1j * kx, 1j * ky
 
     k_max = int(dealias_fraction * (n // 2))
-    mx, my = np.meshgrid(np.abs(modes), np.abs(modes), indexing="ij")
+    mx, my = np.meshgrid(np.abs(modes), np.abs(modes[:cols]), indexing="ij")
     dealias_mask = (mx <= k_max) & (my <= k_max)
 
     inv_neg_lap = np.zeros_like(ksq)
@@ -125,23 +141,14 @@ def _tables_for(n: int, length: float, dealias_fraction: float) -> SpectralTable
 
 
 def tables(grid: GridSpec) -> SpectralTables:
-    return _tables_for(grid.n, grid.length, grid.dealias_fraction)
+    """The tables over the full (n, n) lattice, for callers that index a full
+    spectrum; the package itself reads only _half_tables."""
+    return _tables_for(grid.n, grid.length, grid.dealias_fraction, grid.n)
 
 
-@lru_cache(maxsize=32)
 def _half_tables(grid: GridSpec) -> SpectralTables:
-    """The tables restricted to the half lattice, where every spectrum lives."""
-    return SpectralTables(*(_freeze(a[:, : grid.n // 2 + 1]) for a in tables(grid)))
-
-
-def _half_lattice(grid: GridSpec, a: np.ndarray) -> np.ndarray:
-    """a on the half lattice: a full-lattice array is restricted to columns
-    0..n/2; any shape but these two raises ValueError."""
-    if a.shape == grid.shape:
-        return a[:, : grid.n // 2 + 1]
-    if a.shape != (grid.n, grid.n // 2 + 1):
-        raise ValueError(f"array shape {a.shape} is neither the grid {grid.shape} nor its half lattice")
-    return a
+    """The tables over the half lattice (n, n//2 + 1), where every spectrum lives."""
+    return _tables_for(grid.n, grid.length, grid.dealias_fraction, grid.n // 2 + 1)
 
 
 def _fftn(values: np.ndarray) -> np.ndarray:
@@ -180,8 +187,8 @@ class ScalarField:
 
     Either representation may be supplied; the other is derived on first use
     and cached. The pair stays consistent because fields are never mutated.
-    The spectrum is held on the half lattice (n, n//2 + 1); a full-lattice
-    (n, n) spectrum of real samples is accepted and restricted to it. The
+    The spectrum is held on the half lattice (n, n//2 + 1); from_spectrum
+    also takes a full-lattice (n, n) spectrum of real samples. The
     constructor takes ownership of the array it is given.
     """
 
@@ -194,10 +201,9 @@ class ScalarField:
         self._values = None if values is None else _freeze(np.asarray(values, dtype=float))
         if self._values is not None and self._values.shape != grid.shape:
             raise ValueError(f"array shape {self._values.shape} != grid shape {grid.shape}")
-        self._spectrum = (
-            None if spectrum is None
-            else _freeze(_half_lattice(grid, np.asarray(spectrum, dtype=complex)))
-        )
+        self._spectrum = None if spectrum is None else _freeze(np.asarray(spectrum, dtype=complex))
+        if self._spectrum is not None and self._spectrum.shape != (grid.n, grid.n // 2 + 1):
+            raise ValueError(f"spectrum shape {self._spectrum.shape} is not the half lattice of n = {grid.n}")
 
     @classmethod
     def from_values(cls, grid: GridSpec, values) -> "ScalarField":
@@ -205,7 +211,12 @@ class ScalarField:
 
     @classmethod
     def from_spectrum(cls, grid: GridSpec, spectrum) -> "ScalarField":
-        return cls(grid, spectrum=np.array(spectrum, dtype=complex))
+        """A half spectrum, or the full (n, n) spectrum of real samples, whose
+        columns 0..n/2 are kept."""
+        spectrum = np.asarray(spectrum, dtype=complex)
+        if spectrum.shape == grid.shape:
+            spectrum = spectrum[:, : grid.n // 2 + 1]
+        return cls(grid, spectrum=np.array(spectrum))
 
     @classmethod
     def constant(cls, grid: GridSpec, c: float) -> "ScalarField":
@@ -348,8 +359,10 @@ def hermitian_defect(f: ScalarField) -> float:
 
 
 def apply_multiplier(f: ScalarField, mult: np.ndarray) -> ScalarField:
-    """Multiply the spectrum by mult, given on the full or the half lattice."""
-    return ScalarField(f.grid, spectrum=f.spectrum * _half_lattice(f.grid, mult))
+    """Multiply the spectrum by mult, an array over the half lattice."""
+    if mult.shape != (f.grid.n, f.grid.n // 2 + 1):
+        raise ValueError(f"multiplier shape {mult.shape} is not the half lattice of n = {f.grid.n}")
+    return ScalarField(f.grid, spectrum=f.spectrum * mult)
 
 
 def gradient(f: ScalarField) -> VectorField:

@@ -25,12 +25,12 @@ from .fields import (
     ParameterError,
     ScalarField,
     VectorField,
+    _half_tables,
     apply_multiplier,
     dealias,
     gradient,
     lp_norm,
     scale_vector,
-    tables,
 )
 
 # radial cutoff: one below FLAT_EDGE, zero above ZERO_EDGE
@@ -88,8 +88,8 @@ class DyadicFilterBank:
     """Fourier multipliers for the dyadic blocks on one grid.
 
     chi_profile is the block -1 (low-pass) multiplier; phi_profiles[j] is the
-    block-j multiplier. All profiles are real arrays over the full (n, n)
-    lattice; apply_multiplier restricts them to the half-lattice spectra.
+    block-j multiplier. All profiles are real arrays over the half lattice
+    (n, n//2 + 1) of the spectra they multiply.
     """
 
     grid: GridSpec
@@ -119,7 +119,7 @@ def build_filter_bank(grid: GridSpec) -> DyadicFilterBank:
     if j_max < 1:
         raise ValueError(f"grid n={grid.n} too small to host a dyadic block")
 
-    r = tables(grid).k_mag
+    r = _half_tables(grid).k_mag
     chi = radial_cutoff(2.0 * r)
     low = [radial_cutoff(2.0 ** (-j + 1) * r) for j in range(j_max + 1)]
     phis = [low[j + 1] - low[j] for j in range(j_max)]
@@ -136,13 +136,10 @@ def build_filter_bank(grid: GridSpec) -> DyadicFilterBank:
     return bank
 
 
-def partition_residual(bank: DyadicFilterBank, retained_only: bool = True) -> float:
-    """Max deviation of chi + sum(phi_j) from one over the spectrum."""
+def partition_residual(bank: DyadicFilterBank) -> float:
+    """Max deviation of chi + sum(phi_j) from one over the retained modes."""
     total = bank.chi_profile + np.sum(bank.phi_profiles, axis=0)
-    dev = np.abs(total - 1.0)
-    if retained_only:
-        dev = dev[tables(bank.grid).dealias_mask]
-    return float(dev.max())
+    return float(np.abs(total - 1.0)[_half_tables(bank.grid).dealias_mask].max())
 
 
 def _multiply(f: Field, mult: np.ndarray) -> Field:

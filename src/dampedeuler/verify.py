@@ -19,13 +19,13 @@ from .fields import (
     GridSpec,
     ScalarField,
     VectorField,
+    _half_tables,
     apply_multiplier,
     dealias,
     dealiased_product,
     divergence,
     gradient,
     lp_norm,
-    tables,
 )
 from .littlewood_paley import (
     DyadicFilterBank,
@@ -47,13 +47,13 @@ class CheckResult:
 def random_dealiased_field(grid: GridSpec, rng) -> ScalarField:
     """Smooth random scalar: white spectrum shaped by exp(-|k|/4), dealiased."""
     white = ScalarField.from_values(grid, rng.standard_normal(grid.shape))
-    return dealias(apply_multiplier(white, np.exp(-tables(grid).k_mag / 4.0)))
+    return dealias(apply_multiplier(white, np.exp(-_half_tables(grid).k_mag / 4.0)))
 
 
 def check_partition_of_unity(n: int = 64, bank: DyadicFilterBank | None = None) -> CheckResult:
     if bank is None:
         bank = build_filter_bank(GridSpec(n=n))
-    residual = partition_residual(bank, retained_only=True)
+    residual = partition_residual(bank)
     return CheckResult(
         "partition_of_unity",
         residual == 0.0,

@@ -339,7 +339,32 @@ class TestConfigErrorsAtRunTime:
             ["check", "--config", str(cfg)],
         ):
             assert main(argv) == 1, argv
-            assert "config error: ic.u_params: initial velocity not finite" in capsys.readouterr().err
+            assert (f"config error: ic.u_params: rejected by preset {u_preset!r}: amplitude: "
+                    "expected a finite number") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, preset, params, message", [
+        ("u", "random_shell", {"seed": 1.5}, "seed: expected an integer, got 1.5"),
+        ("u", "random_shell", {"j": 1.5}, "j: expected an integer, got 1.5"),
+        ("u", "swirl", {"amplitude": "2"}, "amplitude: expected a finite number, got '2'"),
+        ("u", "taylor_green", {"amplitude": True}, "amplitude: expected a finite number, got True"),
+        ("rho", "single_mode", {"k": 1.5}, "k: expected an integer, got 1.5"),
+        ("rho", "gaussian_bump", {"amplitude": math.inf}, "amplitude: expected a finite number, got inf"),
+    ], ids=["shell-seed", "shell-j", "swirl-string", "tg-bool", "single_mode-k", "bump-inf"])
+    def test_preset_parameter_type_is_a_config_error(
+        self, tmp_path, capsys, kind, preset, params, message
+    ):
+        cfg = tmp_path / "bad.json"
+        write_config(cfg, grid={"n": 16}, time={"t_end": 0.0},
+                     ic={f"{kind}_preset": preset, f"{kind}_params": params})
+        out = tmp_path / "o"
+        for argv in (
+            ["run", "--config", str(cfg), "--out", str(out)],
+            ["check", "--config", str(cfg)],
+        ):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert f"config error: ic.{kind}_params: " in err and message in err, err
         assert not out.exists()
 
     def test_nan_sweep_value_rejected(self, tmp_path, capsys):

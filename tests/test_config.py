@@ -2,6 +2,7 @@
 the parameter; resolve_config reaches it by building the run's objects and
 names the offending dotted key."""
 
+import inspect
 import math
 
 import pytest
@@ -80,3 +81,14 @@ def test_rule_names_key_and_lives_in_its_owner(patch, key, owner):
     if owner is not None:
         with pytest.raises(ValueError):
             owner()
+
+
+def test_whole_number_floats_reach_int_preset_parameters_as_ints():
+    ic = ICRecipe(u_preset="random_shell", u_params={"j": 2.0, "amplitude": 1}, seed=3,
+                  rho_preset="single_mode", rho_params={"k": 2.0})
+    bound = {}
+    for factory in preset_factories(sim(ic=ic)):
+        args = inspect.signature(factory.func).bind(*factory.args, **factory.keywords).arguments
+        bound.update((k, v) for k, v in args.items() if k != "grid")
+    assert {k: (type(v), v) for k, v in bound.items()} == {
+        "j": (int, 2), "amplitude": (float, 1.0), "seed": (int, 3), "k": (int, 2)}

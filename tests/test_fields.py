@@ -10,7 +10,9 @@ from dampedeuler.fields import (
     ParameterError,
     ScalarField,
     VectorField,
+    _half_tables,
     advect,
+    apply_multiplier,
     curl2d,
     dealias,
     divergence,
@@ -19,6 +21,7 @@ from dampedeuler.fields import (
     leray_project,
     lp_norm,
     perp_gradient,
+    tables,
 )
 
 from conftest import (
@@ -76,6 +79,22 @@ class TestTransforms:
         assert np.abs(full.values - values).max() <= 1e-12 * np.abs(values).max()
         with pytest.raises(ValueError):
             ScalarField.from_spectrum(grid64, np.zeros((64, 32), dtype=complex))
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec(n=8, dealias_fraction=0.5),
+        GridSpec(n=64),
+        GridSpec(n=16, length=3.0),
+    ], ids=["n8_half", "n64", "n16_length3"])
+    def test_half_tables_are_the_first_columns_of_the_full_tables(self, grid):
+        half, full = _half_tables(grid), tables(grid)
+        for name, h, f in zip(half._fields, half, full):
+            assert np.array_equal(h, f[:, : grid.n // 2 + 1]), name
+
+    def test_multiplier_must_be_on_the_half_lattice(self, grid16):
+        f = ScalarField.constant(grid16, 1.0)
+        assert apply_multiplier(f, np.ones((16, 9))).mean() == 1.0
+        with pytest.raises(ValueError, match="half lattice"):
+            apply_multiplier(f, np.ones((16, 16)))
 
     def test_spectrum_hermitian(self, grid64):
         rng = np.random.default_rng(1)

@@ -7,10 +7,10 @@ from dampedeuler.fields import (
     GridSpec,
     ScalarField,
     VectorField,
+    _half_tables,
     dealias,
     gradient,
     lp_norm,
-    tables,
 )
 from dampedeuler.littlewood_paley import (
     B1,
@@ -43,16 +43,20 @@ class TestFilterBank:
         assert bank64.j_max == 4
 
     def test_partition_of_unity_exact(self, bank64):
-        assert partition_residual(bank64, retained_only=True) == 0.0
+        assert partition_residual(bank64) == 0.0
+
+    def test_profiles_on_half_lattice(self, bank64):
+        for j in bank64.block_indices():
+            assert bank64.block_profile(j).shape == (64, 33)
 
     def test_profile_is_one_on_block_center(self, bank64):
-        t = tables(bank64.grid)
+        t = _half_tables(bank64.grid)
         for j in range(bank64.j_max):  # the top block has no outer edge
             center = np.isclose(t.k_mag, 2.0**j)
             assert np.all(bank64.phi_profiles[j][center] == 1.0)
 
     def test_annulus_support(self, bank64):
-        t = tables(bank64.grid)
+        t = _half_tables(bank64.grid)
         for j in range(bank64.j_max):
             prof = bank64.phi_profiles[j]
             outside = (t.k_mag < 0.55 * 2**j - 1e-12) | (t.k_mag > 1.9 * 2**j + 1e-12)
