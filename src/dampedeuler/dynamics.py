@@ -201,18 +201,25 @@ def preset_factories(config: SimConfig) -> list[partial]:
 
 
 def initial_state(config: SimConfig) -> FluidState:
-    """Build the t = 0 state from the config's preset recipe."""
+    """Build the t = 0 state from the config's preset recipe. A field that
+    overflows on the way (a finite but huge amplitude) is a ParameterError
+    naming its preset parameters, raised before any warning is printed."""
     built = []
-    for kind, factory in zip(("u", "rho"), preset_factories(config)):
+    for kind, name, factory, finish in zip(
+        ("u", "rho"), ("velocity", "density"), preset_factories(config),
+        (lambda v: leray_project(dealias_vector(v)), dealias),
+    ):
         try:
-            built.append(factory())
+            with np.errstate(over="raise", invalid="raise"):
+                field = finish(factory())
+                built.append((field, lp_norm(field, math.inf)))  # |u| squares the components
         except ValueError as exc:  # a parameter value the preset rejects
             raise ParameterError(f"{kind}_params", f"rejected by preset: {exc}") from None
-    u = leray_project(dealias_vector(built[0]))
-    u_max = lp_norm(u, math.inf)
+        except FloatingPointError as exc:
+            raise ParameterError(f"{kind}_params", f"initial {name} overflows: {exc}") from None
+    (u, u_max), (rho, _) = built
     if not math.isfinite(u_max):
         raise ParameterError("u_params", f"initial velocity not finite: max |u| = {u_max}")
-    rho = dealias(built[1])
     rho_min = float(rho.values.min())
     if not rho_min > 0.0:  # a NaN minimum fails too
         raise ParameterError("rho_params", f"initial density not positive: min = {rho_min:.3e}")

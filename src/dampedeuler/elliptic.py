@@ -4,15 +4,39 @@ The discrete operator is the dealiased pseudo-spectral one: derivatives are
 spectral and the coefficient product is truncated with the 2/3 rule, which is
 exactly the operator the momentum tendency needs so that its divergence
 vanishes; the solve also returns that tendency's pressure term dealias((1/rho)
-grad Pi). It is solved by conjugate gradients preconditioned by the constant
-coefficient inverse Laplacian (midpoint coefficient), in iteration counts
-growing about with the square root of the density contrast.
+grad Pi). It is solved by preconditioned conjugate gradients, the
+preconditioner chosen per solve from the density contrast rho_max / rho_min:
+
+- at or below CONCUS_GOLUB_CONTRAST, the constant-coefficient inverse
+  Laplacian (-abar Lap)^{-1} (midpoint coefficient abar), which costs no
+  transform and is exact at uniform density;
+- above it, the symmetric Concus-Golub preconditioner (SIAM J. Numer. Anal.
+  10, 1973), from -div(a grad p) = -a^{1/2} (Lap - q) a^{1/2} p:
+  z = P[s F^-1((-Lap)^+ P[s F^-1 r])] with s = rho^{1/2}, F^-1 the inverse
+  transform and P the forward transform then the dealias mask. It is
+  self-adjoint in the Parseval inner product and costs 4 more transforms per
+  iteration (8 in all).
+
+Iterations of one cold solve (Gaussian bump, n = 64):
+
+    contrast                1.2   2    4   10   31   100  1000
+    (-abar Lap)^{-1}          8  14   21   35   63   116   371
+    Concus-Golub              6   8   10   13   17    24    45
+
+The constant is where the warm-started solves of a run cross over in
+transforms per solve: on the bump_contrast4_n64 benchmark workload with the
+bump amplitude varied (50 steps, 201 solves), the constant-coefficient
+preconditioner against Concus-Golub took 26.1/32.1 at contrast 1.5,
+29.1/32.1 at 1.75, 32.1/32.1 from 1.9 to 2.1, 34.1/32.1 at 2.25 and
+40.2/38.1 at 3.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .fields import (
     ParameterError,
@@ -29,6 +53,11 @@ from .fields import (
     lp_norm,
 )
 from .littlewood_paley import B1, BesovIndex, DyadicFilterBank, besov_norm
+
+
+# density contrast above which the Concus-Golub preconditioner replaces
+# (-abar Lap)^{-1}: the crossover in the module docstring
+CONCUS_GOLUB_CONTRAST = 2.0
 
 
 class PressureSolveError(RuntimeError):
@@ -68,6 +97,11 @@ class CoefficientBounds:
         return 0.5 * (self.a_star + self.a_upper)
 
     @property
+    def contrast(self) -> float:
+        """rho_max / rho_min."""
+        return self.a_upper / self.a_star
+
+    @property
     def uniform(self) -> bool:
         """Constant coefficient up to rounding: the operator is diagonal."""
         return self.a_upper - self.a_star <= 1e-14 * self.a_upper
@@ -102,6 +136,22 @@ def operator_residual(rho_inv, pi_hat, rhs_hat, grid):
     ax_hat = _fftn(rho_inv * gx) * t.dealias_mask
     ay_hat = _fftn(rho_inv * gy) * t.dealias_mask
     return -(t.ddx * ax_hat + t.ddy * ay_hat) - rhs_hat, ax_hat, ay_hat
+
+
+def preconditioner(rho: ScalarField, bounds: CoefficientBounds):
+    """The solve's preconditioner, a map of half spectra r -> z: Concus-Golub
+    above CONCUS_GOLUB_CONTRAST, else (-abar Lap)^{-1} (module docstring)."""
+    t = _half_tables(rho.grid)
+    if bounds.contrast <= CONCUS_GOLUB_CONTRAST:
+        abar = bounds.midpoint
+        return lambda r_hat: r_hat * t.inv_neg_lap / abar
+    s = np.sqrt(rho.values)
+
+    def concus_golub(r_hat):
+        w_hat = _fftn(s * _ifftn_real(r_hat)) * t.dealias_mask
+        return _fftn(s * _ifftn_real(w_hat * t.inv_neg_lap)) * t.dealias_mask
+
+    return concus_golub
 
 
 def solve_pressure(
@@ -139,10 +189,10 @@ def solve_pressure(
         zero = ScalarField.zero(grid)
         return PressureSolution(zero, VectorField((zero, zero)), 1, rhs_norm, (rhs_norm,))
 
-    # preconditioned conjugate gradients on the Parseval inner product, with
-    # (-abar Lap)^{-1} as preconditioner; res = -div(a grad Pi) - rhs and the
-    # flux of Pi are updated recursively, one operator evaluation per
-    # iteration. With a constant coefficient that preconditioner is the exact
+    # preconditioned conjugate gradients on the Parseval inner product, the
+    # cold start from (-abar Lap)^{-1} rhs; res = -div(a grad Pi) - rhs and
+    # the flux of Pi are updated recursively, one operator evaluation per
+    # iteration. With a constant coefficient (-abar Lap)^{-1} is the exact
     # inverse, so the first evaluation returns.
     if initial_guess is None or bounds.uniform:
         pi_hat = rhs_hat * t.inv_neg_lap / abar
@@ -153,6 +203,7 @@ def solve_pressure(
     else:
         res_hat, *flux = operator_residual(a, pi_hat, rhs_hat, grid)
     del rhs_hat  # the residual is updated without it from here on: peak memory
+    precondition = preconditioner(rho, bounds)
     iterations = 1
     residual = _parseval_l2(res_hat) / rhs_norm
     history = [residual]
@@ -165,7 +216,7 @@ def solve_pressure(
                 residual=residual,
                 iterations=iterations,
             )
-        z_hat = res_hat * t.inv_neg_lap / abar
+        z_hat = precondition(res_hat)
         rz_old, rz = rz, _parseval_dot(res_hat, z_hat)
         p_hat *= rz / rz_old
         p_hat += z_hat

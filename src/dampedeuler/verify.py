@@ -1,8 +1,10 @@
 """Self-verification suite: the cross-module identities runnable on demand.
 
 Each check returns a CheckResult; `run_verification` bundles them into the
-quick (N = 64) or full (adds N = 128 consistency and the dense elliptic
-oracle at N = 16, contrast 1.5, 10, 100) levels of `dampedeuler verify`.
+quick (N = 64) or full (adds N = 128 consistency, the dense elliptic
+oracle at N = 16, contrast 1.5, 10, 100, 1000, and RK4 self-convergence of
+variable-density runs at N = 32, contrast 4 and 100) levels of
+`dampedeuler verify`.
 """
 
 from __future__ import annotations
@@ -201,6 +203,37 @@ def check_dense_elliptic_oracle(n: int = 16, seed: int = 0, contrast: float = 1.
     )
 
 
+def check_time_convergence(n: int = 32, contrast: float = 4.0, gamma: int = 0) -> CheckResult:
+    """RK4 self-convergence of the full nonlinear solver at variable density.
+
+    The swirl over a Gaussian bump of the given max/min density contrast is
+    integrated to t = 0.4 at dt = 0.04, 0.02, 0.01, 0.005; the max-norm
+    differences of the final (rho, u) between successive dt must shrink by
+    the fourth-order factor 16 (each ratio in [14, 18]). Needs no exact
+    solution. The finest difference is about 1e-10 at contrast 4 and n = 32,
+    just above the solve tolerance, so dt is not refined further.
+    """
+    ic = dynamics.ICRecipe(u_preset="swirl", rho_preset="gaussian_bump",
+                           rho_params={"width": 0.8, "amplitude": contrast - 1.0})
+    t_end, finals = 0.4, []
+    for dt in (0.04, 0.02, 0.01, 0.005):
+        config = dynamics.SimConfig(alpha=1.0, gamma=gamma, grid=GridSpec(n=n), dt=dt,
+                                    t_end=t_end, ic=ic, record_every=round(t_end / dt))
+        result = dynamics.run_simulation(config)
+        if result.failed:
+            return CheckResult("time_convergence", False, f"run at dt = {dt:g} failed: {result.failure}")
+        finals.append((result.final_state.rho, *result.final_state.u.components))
+    diffs = [max(lp_norm(a - b, math.inf) for a, b in zip(coarse, fine))
+             for coarse, fine in zip(finals, finals[1:])]
+    ratios = [d / d_fine if d_fine else math.inf for d, d_fine in zip(diffs, diffs[1:])]
+    return CheckResult(
+        "time_convergence",
+        all(14.0 <= r <= 18.0 for r in ratios),
+        f"difference ratios {', '.join(f'{r:.2f}' for r in ratios)} at contrast {contrast:g}, "
+        f"gamma = {gamma} (finest difference {diffs[-1]:.2e})",
+    )
+
+
 def run_verification(level: str = "quick") -> list[CheckResult]:
     """Run the checks of one level, each timed into its CheckResult.seconds."""
     if level not in ("quick", "full"):
@@ -216,7 +249,9 @@ def run_verification(level: str = "quick") -> list[CheckResult]:
     if level == "full":
         checks.append(lambda: check_partition_of_unity(128))
         checks.append(lambda: check_bernstein((64, 128)))
-        checks.extend(lambda c=c: check_dense_elliptic_oracle(16, contrast=c) for c in (1.5, 10.0, 100.0))
+        checks.extend(lambda c=c: check_dense_elliptic_oracle(16, contrast=c) for c in (1.5, 10.0, 100.0, 1000.0))
+        checks.extend(lambda c=c, g=g: check_time_convergence(32, contrast=c, gamma=g)
+                      for c in (4.0, 100.0) for g in (0, 1))
     results = []
     for check in checks:
         start = time.perf_counter()

@@ -367,6 +367,29 @@ class TestConfigErrorsAtRunTime:
             assert f"config error: ic.{kind}_params: " in err and message in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, preset, key", [
+        ("u", "random_shell", "amplitude"),
+        ("u", "taylor_green", "amplitude"),
+        ("u", "swirl", "amplitude"),
+        ("rho", "gaussian_bump", "amplitude"),
+        ("rho", "constant", "value"),
+    ])
+    def test_overflowing_preset_is_a_config_error(self, tmp_path, capsys, kind, preset, key):
+        # finite, but the field overflows once scaled, transformed or squared;
+        # the tier-1 filter turns any RuntimeWarning on the way into an error
+        cfg = tmp_path / "huge.json"
+        write_config(cfg, grid={"n": 16}, time={"t_end": 0.0},
+                     ic={f"{kind}_preset": preset, f"{kind}_params": {key: 1e308}})
+        name = "velocity" if kind == "u" else "density"
+        out = tmp_path / "o"
+        for argv in (
+            ["run", "--config", str(cfg), "--out", str(out)],
+            ["check", "--config", str(cfg)],
+        ):
+            assert main(argv) == 1, argv
+            assert f"config error: ic.{kind}_params: initial {name} overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_sweep_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
         write_config(cfg)

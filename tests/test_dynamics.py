@@ -36,6 +36,7 @@ from dampedeuler.fields import (
     lp_norm,
 )
 from dampedeuler.littlewood_paley import build_filter_bank
+from dampedeuler.verify import check_time_convergence
 
 from conftest import fd_gradient6
 
@@ -114,6 +115,14 @@ class TestStepping:
             step_rk4(state, cfg)
 
 
+class TestTimeConvergence:
+    @pytest.mark.parametrize("contrast", [4.0, 100.0])
+    @pytest.mark.parametrize("gamma", [0, 1])
+    def test_rk4_self_convergence_at_variable_density(self, contrast, gamma):
+        result = check_time_convergence(32, contrast=contrast, gamma=gamma)
+        assert result.passed, result.detail
+
+
 class TestFailLoudly:
     def test_nan_velocity_fails_invariant_check(self, grid64):
         from dampedeuler.dynamics import _check_invariants
@@ -184,6 +193,9 @@ class TestTransformCount:
     @pytest.mark.parametrize("gamma, ic, expected", [
         (1, ICRecipe(), 46),
         (0, ICRecipe(rho_preset="single_mode", rho_params={"k": 1, "amplitude": 0.2}), 194),
+        # the bump_contrast4_n64 benchmark state, above the Concus-Golub crossover
+        (0, ICRecipe(u_preset="random_shell", u_params={"j": 2, "amplitude": 0.25},
+                     rho_preset="gaussian_bump", rho_params={"width": 0.8, "amplitude": 3.0}), 254),
     ])
     def test_transforms_per_step(self, monkeypatch, gamma, ic, expected):
         cfg = SimConfig(alpha=1.0, gamma=gamma, grid=GridSpec(n=64), dt=1e-3, t_end=1e-3, ic=ic)

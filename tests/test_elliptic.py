@@ -6,6 +6,7 @@ import pytest
 from dampedeuler import dynamics
 from dampedeuler.config import build_sim_config, resolve_config
 from dampedeuler.elliptic import (
+    CONCUS_GOLUB_CONTRAST,
     CoefficientBounds,
     PressureSolveError,
     PressureSolveParams,
@@ -13,6 +14,7 @@ from dampedeuler.elliptic import (
     coefficient_bounds,
     lax_milgram_check,
     operator_residual,
+    preconditioner,
     solve_pressure,
 )
 from dampedeuler.fields import (
@@ -20,6 +22,7 @@ from dampedeuler.fields import (
     ScalarField,
     VectorField,
     _half_tables,
+    _parseval_dot,
     _parseval_l2,
     dealias,
     divergence,
@@ -93,7 +96,7 @@ class TestVariableCoefficient:
         result = check_dense_elliptic_oracle(16)
         assert result.passed, result.detail
 
-    @pytest.mark.parametrize("contrast", [10.0, 100.0])
+    @pytest.mark.parametrize("contrast", [10.0, 100.0, 1000.0])
     def test_matches_dense_direct_solve_at_high_contrast(self, contrast):
         result = check_dense_elliptic_oracle(16, contrast=contrast)
         assert result.passed, result.detail
@@ -168,6 +171,38 @@ class TestVariableCoefficient:
         assert info.value.iterations == 1
 
 
+class TestPreconditioner:
+    def test_contrast(self):
+        assert CoefficientBounds(a_star=0.25, a_upper=1.0).contrast == 4.0
+
+    def test_constant_coefficient_path_at_low_contrast(self, grid64):
+        rho = cosine_density(grid64, 0.2)  # contrast 1.5
+        bounds = coefficient_bounds(rho)
+        assert bounds.contrast <= CONCUS_GOLUB_CONTRAST
+        r_hat = random_dealiased_field(grid64, np.random.default_rng(14)).spectrum
+        expected = r_hat * _half_tables(grid64).inv_neg_lap / bounds.midpoint
+        assert np.array_equal(preconditioner(rho, bounds)(r_hat), expected)
+
+    def test_concus_golub_is_self_adjoint_and_positive(self, grid64):
+        rho = cosine_density(grid64, 9.0 / 11.0)  # contrast 10
+        bounds = coefficient_bounds(rho)
+        assert bounds.contrast > CONCUS_GOLUB_CONTRAST
+        precondition = preconditioner(rho, bounds)
+        rng = np.random.default_rng(13)
+
+        def residual():  # dealiased and mean-zero, like the solve's residuals
+            r_hat = random_dealiased_field(grid64, rng).spectrum.copy()
+            r_hat[0, 0] = 0.0
+            return r_hat
+
+        for _ in range(5):
+            r1, r2 = residual(), residual()
+            m1, m2 = precondition(r1), precondition(r2)
+            scale = math.sqrt(_parseval_dot(m1, m1) * _parseval_dot(r2, r2))
+            assert abs(_parseval_dot(m1, r2) - _parseval_dot(r1, m2)) <= 1e-14 * scale
+            assert _parseval_dot(m1, r1) > 0.0
+
+
 class TestLaxMilgram:
     def test_zero_for_divergence_free(self, grid64):
         rng = np.random.default_rng(6)
@@ -217,12 +252,41 @@ class TestBesovPressureProbe:
         assert max(ratios) < 100.0
 
 
+def bump_run_config(amplitude):
+    """The bump_contrast4_n64 benchmark workload with the given bump
+    amplitude, cut to ten steps."""
+    return build_sim_config(resolve_config({
+        "physics": {"alpha": 1.0, "gamma": 0},
+        "grid": {"n": 64},
+        "time": {"dt": 2e-3, "t_end": 0.02, "record_every": 10},
+        "ic": {
+            "u_preset": "random_shell", "u_params": {"j": 2, "amplitude": 0.25},
+            "rho_preset": "gaussian_bump", "rho_params": {"width": 0.8, "amplitude": amplitude},
+            "seed": 0,
+        },
+    }))
+
+
+@pytest.fixture
+def solve_counts(monkeypatch):
+    """The iteration count of every pressure solve that dynamics makes."""
+    counts = []
+
+    def counted(*args, **kwargs):
+        sol = solve_pressure(*args, **kwargs)
+        counts.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve_pressure", counted)
+    return counts
+
+
 class TestIterationPins:
     """Pressure iterations of the current solver. Lower these pins when a
     solver change lands; never raise them to make a change pass."""
 
     @pytest.mark.parametrize("contrast, expected", [
-        (1.2, 8), (2.0, 14), (4.0, 21), (10.0, 35), (31.0, 63), (100.0, 116),
+        (1.2, 8), (2.0, 14), (4.0, 10), (10.0, 13), (31.0, 17), (100.0, 24), (1000.0, 45),
     ])
     def test_gaussian_bump_solve(self, contrast, expected):
         grid = GridSpec(n=64)
@@ -231,30 +295,12 @@ class TestIterationPins:
         rho = dynamics.rho_gaussian_bump(grid, amplitude=contrast - 1.0)
         assert solve_pressure(rho, F).iterations == expected
 
-    def test_bump_contrast4_run(self, monkeypatch):
+    def test_bump_contrast4_run(self, solve_counts):
         # the bump_contrast4_n64 benchmark workload, cut to ten steps
-        config = build_sim_config(resolve_config({
-            "physics": {"alpha": 1.0, "gamma": 0},
-            "grid": {"n": 64},
-            "time": {"dt": 2e-3, "t_end": 0.02, "record_every": 10},
-            "ic": {
-                "u_preset": "random_shell", "u_params": {"j": 2, "amplitude": 0.25},
-                "rho_preset": "gaussian_bump", "rho_params": {"width": 0.8, "amplitude": 3.0},
-                "seed": 0,
-            },
-        }))
-        iterations = []
+        assert not dynamics.run_simulation(bump_run_config(3.0)).failed
+        assert (len(solve_counts), sum(solve_counts)) == (41, 219)
 
-        def counted(*args, **kwargs):
-            sol = solve_pressure(*args, **kwargs)
-            iterations.append(sol.iterations)
-            return sol
-
-        monkeypatch.setattr(dynamics, "solve_pressure", counted)
-        assert not dynamics.run_simulation(config).failed
-        assert (len(iterations), sum(iterations)) == (41, 492)
-
-    def test_record_costs_no_solve(self, monkeypatch):
+    def test_record_costs_no_solve(self, solve_counts):
         # the records_dense_n128 benchmark workload, cut to three steps with a
         # record after each: 4 solves per step and one for the final state, as
         # a record takes its grad Pi from the first stage of the state's step
@@ -268,33 +314,25 @@ class TestIterationPins:
                 "seed": 0,
             },
         }))
-        iterations = []
-
-        def counted(*args, **kwargs):
-            sol = solve_pressure(*args, **kwargs)
-            iterations.append(sol.iterations)
-            return sol
-
-        monkeypatch.setattr(dynamics, "solve_pressure", counted)
         result = dynamics.run_simulation(config)
         assert not result.failed and len(result.records) == 4
-        assert (len(iterations), sum(iterations)) == (13, 67)
+        assert (len(solve_counts), sum(solve_counts)) == (13, 67)
 
 
 class TestWorkingRange:
-    def test_bump_contrast100_run(self):
-        # the bump_contrast4_n64 benchmark workload at amplitude 99, cut to
-        # ten steps: every pressure solve must converge
-        config = build_sim_config(resolve_config({
-            "physics": {"alpha": 1.0, "gamma": 0},
-            "grid": {"n": 64},
-            "time": {"dt": 2e-3, "t_end": 0.02, "record_every": 10},
-            "ic": {
-                "u_preset": "random_shell", "u_params": {"j": 2, "amplitude": 0.25},
-                "rho_preset": "gaussian_bump", "rho_params": {"width": 0.8, "amplitude": 99.0},
-                "seed": 0,
-            },
-        }))
-        result = dynamics.run_simulation(config)
+    """Ten steps of the bump_contrast4_n64 benchmark workload at higher density
+    contrast: every pressure solve converges and no invariant aborts the run."""
+
+    @staticmethod
+    def run_bump(amplitude):
+        result = dynamics.run_simulation(bump_run_config(amplitude))
         assert not result.failed, result.failure
         assert [r.t for r in result.records] == pytest.approx([0.0, 0.02])
+
+    def test_bump_contrast100_run(self, solve_counts):
+        self.run_bump(99.0)
+        assert (len(solve_counts), sum(solve_counts)) == (41, 293)
+
+    def test_bump_contrast1000_run(self, solve_counts):
+        self.run_bump(999.0)
+        assert (len(solve_counts), sum(solve_counts)) == (41, 344)
