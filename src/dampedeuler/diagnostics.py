@@ -2,9 +2,9 @@
 
 The three smallness evaluators compute the left-hand sides of the global
 existence conditions exactly as closed formulas of the initial norms, the
-damping coefficient, and the tunable surrogate constant K. Exponentials are
-evaluated in log space first so that wildly violated conditions report an
-infinite left-hand side instead of overflowing.
+damping coefficient, and the tunable surrogate constant K. A left-hand side
+that would overflow is evaluated in log space and reads inf, never NaN, and a
+zero initial velocity gives a left-hand side of 0.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ LOG_HUGE = 700.0  # exp threshold before float overflow
 
 def _safe_exp(x: float) -> float:
     return math.inf if x > LOG_HUGE else math.exp(x)
+
+
+def _safe_pow(x: float, p: float) -> float:
+    return x**p if x <= 1.0 or p * math.log(x) <= LOG_HUGE else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +125,15 @@ class SmallnessParams:
 
     K stands in for the absolute constant; eta is the heterogeneity exponent,
     eta_2d its planar gamma = 1 counterpart, which must exceed 5 (any value
-    arbitrarily close to 5 is admissible); delta is the interpolation slack.
+    arbitrarily close to 5 is admissible).
     """
 
     K: float = 1.0
     eta: float = 2.0
     eta_2d: float = 5.01
-    delta: float = 0.01
 
     def __post_init__(self):
-        for name in ("K", "eta", "delta"):
+        for name in ("K", "eta"):
             if not getattr(self, name) > 0:
                 raise ParameterError(name, f"must be positive, got {getattr(self, name)}")
         if not self.eta_2d > 5.0:
@@ -202,13 +205,14 @@ def smallness_gamma1_general(
         (1/alpha) ||u0||_B1 * exp((1 + ||rho0-1||_B1^eta) e^K (||u0||_L2/alpha + 1)) < 2
     """
     params = _checked(alpha, params)
+    exponent = ((1.0 + _safe_pow(norms.rho_besov1, params.eta)) * _safe_exp(params.K)
+                * (norms.u_l2 / alpha + 1.0))
     if norms.u_besov1 == 0.0:
         lhs = 0.0
+    elif exponent <= LOG_HUGE:  # as written while the exponential is in range
+        lhs = norms.u_besov1 / alpha * math.exp(exponent)
     else:
-        exponent = (1.0 + norms.rho_besov1**params.eta) * math.exp(params.K) * (
-            norms.u_l2 / alpha + 1.0
-        )
-        lhs = norms.u_besov1 / alpha * _safe_exp(exponent)
+        lhs = _safe_exp(math.log(norms.u_besov1) - math.log(alpha) + exponent)
     return ConditionReport(
         "gamma1_general", (lhs,), (2.0,), lhs < 2.0,
         inputs=_echo(norms, alpha, params) | {"eta": params.eta},
@@ -224,11 +228,14 @@ def smallness_gamma0_general(
         K R^3 e^{K R} ||u0||_{L2 and B1}^2 / alpha < 4
     """
     params = _checked(alpha, params)
-    big_r = 1.0 + norms.rho_besov1**params.eta
+    big_r = 1.0 + _safe_pow(norms.rho_besov1, params.eta)
     u = norms.u_intersection
-    expkr = _safe_exp(params.K * big_r)
-    lhs1 = params.K * big_r * expkr * u / alpha
-    lhs2 = params.K * big_r**3 * expkr * u**2 / alpha
+    if u == 0.0:
+        lhs1 = lhs2 = 0.0
+    else:  # in log space
+        log_lhs1 = math.log(params.K * big_r) + params.K * big_r + math.log(u) - math.log(alpha)
+        lhs1 = _safe_exp(log_lhs1)
+        lhs2 = _safe_exp(log_lhs1 + 2.0 * math.log(big_r) + math.log(u))
     return ConditionReport(
         "gamma0_general", (lhs1, lhs2), (2.0, 4.0), lhs1 < 2.0 and lhs2 < 4.0,
         inputs=_echo(norms, alpha, params) | {"eta": params.eta, "R": big_r},
@@ -248,17 +255,17 @@ def smallness_gamma1_2d(
     params = _checked(alpha, params)
     eta = params.eta_2d
     u = norms.u_intersection
-    if norms.rho_besov1 == 0.0:
+    if norms.rho_besov1 == 0.0 or u == 0.0:
         lhs = 0.0
     else:
         log_phi = 2.0 * params.K * u / alpha + params.K * _safe_exp(params.K * u / alpha)
         log_lhs = (
             math.log(norms.rho_besov1)
-            + math.log1p(norms.rho_besov1**eta)
-            + (math.log(u) if u > 0 else -math.inf)
+            + math.log1p(_safe_pow(norms.rho_besov1, eta))
+            + math.log(u)
             + log_phi
         )
-        lhs = _safe_exp(log_lhs) if log_lhs > -math.inf else 0.0
+        lhs = _safe_exp(log_lhs)
     return ConditionReport(
         "gamma1_2d", (lhs,), (4.0,), lhs < 4.0,
         inputs=_echo(norms, alpha, params) | {"eta": eta},

@@ -27,6 +27,7 @@ import numpy as np
 from .diagnostics import InitialNorms, initial_norms, make_record
 from .elliptic import PressureSolveError, PressureSolveParams, coefficient_bounds, solve_pressure
 from .fields import (
+    TWO_PI,
     GridSpec,
     ParameterError,
     ScalarField,
@@ -172,6 +173,11 @@ RHO_PRESETS = {
 }
 
 
+def _rejected(kind: str, preset: str, reason) -> ParameterError:
+    """A parameter value that the preset rejects, named by its config key."""
+    return ParameterError(f"{kind}_params", f"rejected by preset {preset!r}: {reason}")
+
+
 def preset_factories(config: SimConfig) -> list[partial]:
     """The velocity and density preset factories of config.ic, with their
     parameters bound and checked by name; builds no arrays. Every parameter
@@ -195,7 +201,7 @@ def preset_factories(config: SimConfig) -> list[partial]:
                 integer = isinstance(signature.parameters[name].default, int)
                 bound.arguments[name] = _number(name, value, integer=integer)
         except (TypeError, ParameterError) as exc:
-            raise ParameterError(f"{kind}_params", f"rejected by preset {preset!r}: {exc}") from None
+            raise _rejected(kind, preset, exc) from None
         factories.append(partial(table[preset], *bound.args, **bound.kwargs))
     return factories
 
@@ -214,7 +220,7 @@ def initial_state(config: SimConfig) -> FluidState:
                 field = finish(factory())
                 built.append((field, lp_norm(field, math.inf)))  # |u| squares the components
         except ValueError as exc:  # a parameter value the preset rejects
-            raise ParameterError(f"{kind}_params", f"rejected by preset: {exc}") from None
+            raise _rejected(kind, getattr(config.ic, f"{kind}_preset"), exc) from None
         except FloatingPointError as exc:
             raise ParameterError(f"{kind}_params", f"initial {name} overflows: {exc}") from None
     (u, u_max), (rho, _) = built
@@ -224,7 +230,7 @@ def initial_state(config: SimConfig) -> FluidState:
     if not rho_min > 0.0:  # a NaN minimum fails too
         raise ParameterError("rho_params", f"initial density not positive: min = {rho_min:.3e}")
 
-    cfl = config.dt * u_max * config.grid.n / config.grid.length
+    cfl = config.dt * u_max * config.grid.n / TWO_PI
     if cfl > 0.5:
         warnings.warn(
             f"advisory: CFL number {cfl:.2f} exceeds 0.5; consider a smaller dt",

@@ -4,12 +4,14 @@ The discrete operator is the dealiased pseudo-spectral one: derivatives are
 spectral and the coefficient product is truncated with the 2/3 rule, which is
 exactly the operator the momentum tendency needs so that its divergence
 vanishes; the solve also returns that tendency's pressure term dealias((1/rho)
-grad Pi). It is solved by preconditioned conjugate gradients, the
-preconditioner chosen per solve from the density contrast rho_max / rho_min:
+grad Pi). Every solve is one preconditioned conjugate gradients loop, cold
+started from the preconditioned source; the density contrast rho_max / rho_min
+picks the preconditioner:
 
 - at or below CONCUS_GOLUB_CONTRAST, the constant-coefficient inverse
   Laplacian (-abar Lap)^{-1} (midpoint coefficient abar), which costs no
-  transform and is exact at uniform density;
+  transform; at uniform density the coefficient is the constant a_star, the
+  operator is diagonal and this its exact inverse, so the cold start solves;
 - above it, the symmetric Concus-Golub preconditioner (SIAM J. Numer. Anal.
   10, 1973), from -div(a grad p) = -a^{1/2} (Lap - q) a^{1/2} p:
   z = P[s F^-1((-Lap)^+ P[s F^-1 r])] with s = rho^{1/2}, F^-1 the inverse
@@ -21,7 +23,7 @@ Iterations of one cold solve (Gaussian bump, n = 64):
 
     contrast                1.2   2    4   10   31   100  1000
     (-abar Lap)^{-1}          8  14   21   35   63   116   371
-    Concus-Golub              6   8   10   13   17    24    45
+    Concus-Golub              6   8   10   12   17    23    45
 
 The constant is where the warm-started solves of a run cross over in
 transforms per solve: on the bump_contrast4_n64 benchmark workload with the
@@ -128,13 +130,15 @@ class PressureSolution:
         return gradient(self.pi)
 
 
-def operator_residual(rho_inv, pi_hat, rhs_hat, grid):
-    """Half spectra of -div(A) - rhs and of the flux A = dealias(a * grad Pi)."""
+def operator_residual(a, pi_hat, rhs_hat, grid):
+    """Half spectra of -div(A) - rhs and of the flux A = dealias(a * grad Pi);
+    a is the coefficient's samples, or a float: a constant, with no transform."""
     t = _half_tables(grid)
-    gx = _ifftn_real(t.ddx * pi_hat)
-    gy = _ifftn_real(t.ddy * pi_hat)
-    ax_hat = _fftn(rho_inv * gx) * t.dealias_mask
-    ay_hat = _fftn(rho_inv * gy) * t.dealias_mask
+    if isinstance(a, float):
+        ax_hat, ay_hat = (d * pi_hat * a * t.dealias_mask for d in (t.ddx, t.ddy))
+    else:
+        ax_hat, ay_hat = (_fftn(a * _ifftn_real(d * pi_hat)) * t.dealias_mask
+                          for d in (t.ddx, t.ddy))
     return -(t.ddx * ax_hat + t.ddy * ay_hat) - rhs_hat, ax_hat, ay_hat
 
 
@@ -157,7 +161,7 @@ def preconditioner(rho: ScalarField, bounds: CoefficientBounds):
 def solve_pressure(
     rho: ScalarField,
     F: VectorField,
-    params: PressureSolveParams | None = None,
+    params: PressureSolveParams = PressureSolveParams(),
     initial_guess: ScalarField | None = None,
 ) -> PressureSolution:
     """Solve -div((1/rho) grad Pi) = div F with the zero-mean gauge for Pi.
@@ -169,13 +173,10 @@ def solve_pressure(
     iterations. An initial_guess (for example the previous time step's
     potential) shortens the iteration but never changes the converged answer.
     """
-    if params is None:
-        params = PressureSolveParams()
     grid = rho.grid
     t = _half_tables(grid)
     bounds = coefficient_bounds(rho)
-    a = 1.0 / rho.values
-    abar = bounds.midpoint
+    a = bounds.a_star if bounds.uniform else 1.0 / rho.values
 
     rhs_hat = divergence(F).spectrum * t.dealias_mask
     rhs_norm = _parseval_l2(rhs_hat)
@@ -189,27 +190,22 @@ def solve_pressure(
         zero = ScalarField.zero(grid)
         return PressureSolution(zero, VectorField((zero, zero)), 1, rhs_norm, (rhs_norm,))
 
-    # preconditioned conjugate gradients on the Parseval inner product, the
-    # cold start from (-abar Lap)^{-1} rhs; res = -div(a grad Pi) - rhs and
+    # preconditioned conjugate gradients on the Parseval inner product, cold
+    # started from the preconditioned source; res = -div(a grad Pi) - rhs and
     # the flux of Pi are updated recursively, one operator evaluation per
-    # iteration. With a constant coefficient (-abar Lap)^{-1} is the exact
-    # inverse, so the first evaluation returns.
-    if initial_guess is None or bounds.uniform:
-        pi_hat = rhs_hat * t.inv_neg_lap / abar
-    else:
-        pi_hat = initial_guess.spectrum * t.dealias_mask
-    if bounds.uniform:
-        res_hat = abar * t.ksq * pi_hat - rhs_hat
-    else:
-        res_hat, *flux = operator_residual(a, pi_hat, rhs_hat, grid)
-    del rhs_hat  # the residual is updated without it from here on: peak memory
+    # iteration. A constant coefficient a makes the operator diagonal and the
+    # cold start exact (no guess is read), so the first evaluation returns.
     precondition = preconditioner(rho, bounds)
+    pi_hat = (precondition(rhs_hat) if initial_guess is None or bounds.uniform
+              else initial_guess.spectrum * t.dealias_mask)
+    res_hat, *flux = operator_residual(a, pi_hat, rhs_hat, grid)
+    del rhs_hat  # the residual is updated without it from here on: peak memory
     iterations = 1
     residual = _parseval_l2(res_hat) / rhs_norm
     history = [residual]
     p_hat, rz = 0.0, 1.0  # a scalar zero: the first search direction is z
     while not residual <= params.tol:  # a NaN residual fails too
-        if bounds.uniform or iterations >= params.max_iter:
+        if iterations >= params.max_iter:
             raise PressureSolveError(
                 f"pressure solve stalled at residual {residual:.3e} "
                 f"after {iterations} iterations (tol {params.tol:.1e})",
@@ -235,8 +231,7 @@ def solve_pressure(
     del a, res_hat, p_hat  # free before the outputs are built: peak memory
     pi_hat.flat[0] = 0.0  # zero-mean gauge; pi_hat is always a fresh array here
     pi = ScalarField(grid, spectrum=pi_hat)
-    accel = (gradient(pi) * bounds.a_star if bounds.uniform
-             else VectorField(ScalarField(grid, spectrum=f) for f in flux))
+    accel = VectorField(ScalarField(grid, spectrum=f) for f in flux)
     return PressureSolution(pi, accel, iterations, residual, tuple(history))
 
 

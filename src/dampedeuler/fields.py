@@ -53,27 +53,22 @@ def _number(name: str, value, integer: bool = False, inf_ok: bool = False) -> fl
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform n-by-n periodic grid on [0, length)^2.
+    """Uniform n-by-n periodic grid on [0, 2*pi)^2: wavenumbers are integers.
 
     Parameters
     ----------
     n : int
         Points per dimension; must be a power of two, at least 8.
-    length : float
-        Domain period (default 2*pi, so grid wavenumbers are integers).
     dealias_fraction : float
         Fraction of modes retained by the 2/3-rule truncation.
     """
 
     n: int
-    length: float = TWO_PI
     dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
         if not (self.n >= 8 and (self.n & (self.n - 1)) == 0):
             raise ParameterError("n", f"must be a power of two >= 8, got {self.n}")
-        if not 0.0 < self.length < math.inf:
-            raise ParameterError("length", f"must be positive and finite, got {self.length}")
         if not 0.0 < self.dealias_fraction <= 1.0:
             raise ParameterError("dealias_fraction", "must lie in (0, 1]")
         if self.k_max < 2:
@@ -90,7 +85,7 @@ class GridSpec:
 
     def nodes(self):
         """Coordinate arrays (x, y), 'ij'-indexed."""
-        x = np.arange(self.n) * (self.length / self.n)
+        x = np.arange(self.n) * (TWO_PI / self.n)
         return np.meshgrid(x, x, indexing="ij")
 
 
@@ -101,7 +96,6 @@ class SpectralTables(NamedTuple):
     kx: np.ndarray          # derivative wavenumber, axis 0 (Nyquist zeroed)
     ky: np.ndarray          # derivative wavenumber, axis 1 (Nyquist zeroed)
     k_mag: np.ndarray       # |k| of the raw lattice (for radial filters)
-    ksq: np.ndarray         # kx^2 + ky^2 in the derivative convention
     ddx: np.ndarray         # i*kx
     ddy: np.ndarray         # i*ky
     dealias_mask: np.ndarray
@@ -109,19 +103,17 @@ class SpectralTables(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _tables_for(n: int, length: float, dealias_fraction: float, cols: int) -> SpectralTables:
+def _tables_for(n: int, dealias_fraction: float, cols: int) -> SpectralTables:
     """The tables on columns 0..cols-1 (FFT order) of the (n, n) lattice."""
     modes = (np.arange(n) + n // 2) % n - n // 2  # integer mode indices, FFT order
-    scale = TWO_PI / length
-    raw = scale * modes
-    rx, ry = np.meshgrid(raw, raw[:cols], indexing="ij")
+    rx, ry = np.meshgrid(modes, modes[:cols], indexing="ij")
     k_mag = np.sqrt(rx**2 + ry**2)
 
     # Odd derivatives of the (unpaired) Nyquist mode are sign-ambiguous;
     # zeroing it keeps derivative spectra Hermitian. The projector and the
     # inverse Laplacian use the same convention so that div(leray(v)) = 0
     # holds mode by mode.
-    d1 = raw.copy()
+    d1 = modes.astype(float)
     d1[n // 2] = 0.0
     kx, ky = np.meshgrid(d1, d1[:cols], indexing="ij")
     ksq = kx**2 + ky**2
@@ -131,24 +123,22 @@ def _tables_for(n: int, length: float, dealias_fraction: float, cols: int) -> Sp
     mx, my = np.meshgrid(np.abs(modes), np.abs(modes[:cols]), indexing="ij")
     dealias_mask = (mx <= k_max) & (my <= k_max)
 
-    inv_neg_lap = np.zeros_like(ksq)
-    nonzero = ksq > 0
-    inv_neg_lap[nonzero] = 1.0 / ksq[nonzero]
+    inv_neg_lap = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
 
-    for arr in (kx, ky, k_mag, ksq, ddx, ddy, dealias_mask, inv_neg_lap):
+    for arr in (kx, ky, k_mag, ddx, ddy, dealias_mask, inv_neg_lap):
         arr.setflags(write=False)
-    return SpectralTables(kx, ky, k_mag, ksq, ddx, ddy, dealias_mask, inv_neg_lap)
+    return SpectralTables(kx, ky, k_mag, ddx, ddy, dealias_mask, inv_neg_lap)
 
 
 def tables(grid: GridSpec) -> SpectralTables:
     """The tables over the full (n, n) lattice, for callers that index a full
     spectrum; the package itself reads only _half_tables."""
-    return _tables_for(grid.n, grid.length, grid.dealias_fraction, grid.n)
+    return _tables_for(grid.n, grid.dealias_fraction, grid.n)
 
 
 def _half_tables(grid: GridSpec) -> SpectralTables:
     """The tables over the half lattice (n, n//2 + 1), where every spectrum lives."""
-    return _tables_for(grid.n, grid.length, grid.dealias_fraction, grid.n // 2 + 1)
+    return _tables_for(grid.n, grid.dealias_fraction, grid.n // 2 + 1)
 
 
 def _fftn(values: np.ndarray) -> np.ndarray:

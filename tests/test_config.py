@@ -3,11 +3,13 @@ the parameter; resolve_config reaches it by building the run's objects and
 names the offending dotted key."""
 
 import inspect
+import json
 import math
+from pathlib import Path
 
 import pytest
 
-from dampedeuler.config import ConfigError, resolve_config
+from dampedeuler.config import _DEFAULTS, ConfigError, resolve_config
 from dampedeuler.diagnostics import SmallnessParams
 from dampedeuler.dynamics import ICRecipe, SimConfig, preset_factories
 from dampedeuler.elliptic import PressureSolveParams
@@ -57,7 +59,7 @@ RULES = [
     ({"smallness": {"K": 0.0}}, "smallness.K", lambda: SmallnessParams(K=0.0)),
     ({"smallness": {"K": NAN}}, "smallness.K", lambda: SmallnessParams(K=NAN)),
     ({"smallness": {"eta": -1.0}}, "smallness.eta", lambda: SmallnessParams(eta=-1.0)),
-    ({"smallness": {"delta": 0.0}}, "smallness.delta", lambda: SmallnessParams(delta=0.0)),
+    ({"smallness": {"delta": 0.01}}, "smallness.delta", None),  # a removed key is unknown
     ({"smallness": {"eta_2d": 5.0}}, "smallness.eta_2d", lambda: SmallnessParams(eta_2d=5.0)),
     ({"ic": {"u_preset": "nonsense"}}, "ic.u_preset",
      lambda: preset_factories(sim(ic=ICRecipe(u_preset="nonsense")))),
@@ -92,3 +94,11 @@ def test_whole_number_floats_reach_int_preset_parameters_as_ints():
         bound.update((k, v) for k, v in args.items() if k != "grid")
     assert {k: (type(v), v) for k, v in bound.items()} == {
         "j": (int, 2), "amplitude": (float, 1.0), "seed": (int, 3), "k": (int, 2)}
+
+
+def test_readme_default_config_block_matches_the_defaults():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("default as shown:\n\n```json\n", 1)[1].split("\n```", 1)[0]
+    # dumped, so that an int shown as a float (or the reverse) fails too
+    assert json.dumps(json.loads(block), sort_keys=True) == json.dumps(_DEFAULTS, sort_keys=True)
