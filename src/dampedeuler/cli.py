@@ -25,6 +25,7 @@ from .diagnostics import (
     InitialNorms,
     bkm_report,
     bkm_tail_geometric,
+    csv_columns,
     energy_balance_residual,
     fit_decay_rate,
     initial_norms,
@@ -46,23 +47,11 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def csv_columns(n_indices: int) -> list[str]:
-    cols = ["t", "l2_u"]
-    cols += [f"besov_u_{i}" for i in range(n_indices)]
-    cols += ["l2_gradPi"]
-    cols += [f"besov_gradPi_{i}" for i in range(n_indices)]
-    cols += ["besov_rho_minus_1", "rho_min", "rho_max", "energy", "grad_u_inf", "bkm_running"]
-    return cols
-
-
 def write_records_csv(path: str, records, n_indices: int) -> None:
     with open(path, "w", newline="\n") as out:
         out.write(",".join(csv_columns(n_indices)) + "\n")
         for r in records:
-            row = [r.t, r.l2_u, *r.besov_u, r.l2_grad_pi, *r.besov_grad_pi,
-                   r.besov_rho_minus_1, r.rho_min, r.rho_max, r.energy,
-                   r.grad_u_inf, r.bkm_running]
-            out.write(",".join(_fmt(x) for x in row) + "\n")
+            out.write(",".join(_fmt(x) for x in r.row()) + "\n")
 
 
 def condition_reports(config, params, norms: InitialNorms | None = None) -> list:

@@ -46,6 +46,22 @@ class DiagnosticsRecord:
     grad_u_inf: float
     bkm_running: float
 
+    def row(self) -> list[float]:
+        """The values in records.csv column order (csv_columns)."""
+        return [self.t, self.l2_u, *self.besov_u, self.l2_grad_pi, *self.besov_grad_pi,
+                self.besov_rho_minus_1, self.rho_min, self.rho_max, self.energy,
+                self.grad_u_inf, self.bkm_running]
+
+
+def csv_columns(n_indices: int) -> list[str]:
+    """The records.csv column names of a run tracking n_indices Besov indices."""
+    cols = ["t", "l2_u"]
+    cols += [f"besov_u_{i}" for i in range(n_indices)]
+    cols += ["l2_gradPi"]
+    cols += [f"besov_gradPi_{i}" for i in range(n_indices)]
+    cols += ["besov_rho_minus_1", "rho_min", "rho_max", "energy", "grad_u_inf", "bkm_running"]
+    return cols
+
 
 def make_record(state, config, bank, prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
     """Evaluate one diagnostics row; the BKM integral extends the previous

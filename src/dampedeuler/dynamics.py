@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .diagnostics import InitialNorms, initial_norms, make_record
+from .diagnostics import DiagnosticsRecord, InitialNorms, csv_columns, initial_norms, make_record
 from .elliptic import PressureSolveError, PressureSolveParams, coefficient_bounds, solve_pressure
 from .fields import (
     TWO_PI,
@@ -34,7 +34,6 @@ from .fields import (
     VectorField,
     _number,
     advect,
-    advect_vector,
     apply_multiplier,
     dealias,
     dealias_vector,
@@ -44,6 +43,7 @@ from .fields import (
     lp_norm,
     perp_gradient,
     scale_vector,
+    self_advection,
 )
 from .littlewood_paley import B1, BesovIndex, build_filter_bank
 
@@ -91,7 +91,8 @@ class FluidState:
     """Snapshot (t, rho, u) with an optional cached pressure gradient.
 
     rho_bounds holds the initial density range; the transport equation
-    preserves it up to spectral truncation drift, which step_rk4 asserts.
+    preserves it up to spectral truncation drift, which _check_invariants
+    asserts on every state _Stepper.step returns.
     """
 
     t: float
@@ -251,8 +252,14 @@ def initial_state(config: SimConfig) -> FluidState:
 
 def momentum_forcing(state: FluidState, config: SimConfig) -> VectorField:
     """F = u . grad u + alpha rho^(gamma-1) u, dealiased; div(d_t u) = 0 holds
-    because the pressure solve uses div F as its source."""
-    adv = advect_vector(state.u, state.u)
+    because the pressure solve uses div F as its source.
+
+    u . grad u is taken in flux form, div(u (x) u) (fields.self_advection),
+    which equals it for a divergence-free u: states are Leray-projected, and
+    a stage velocity adds tendencies whose divergence is the pressure solve's
+    residual. The density is transported in convective form (density_rhs),
+    so a constant density has a zero tendency, bit for bit."""
+    adv = self_advection(state.u)
     if config.gamma == 1:
         damp = dealias_vector(state.u)
     else:
@@ -369,6 +376,21 @@ def _check_invariants(state: FluidState) -> None:
         )
 
 
+def _checked_record(state: FluidState, config: SimConfig, bank,
+                    prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
+    """make_record, where an overflow or a non-finite value is an
+    InvariantViolation that names the operation or the column, and t."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            record = make_record(state, config, bank, prev)
+    except FloatingPointError as exc:
+        raise InvariantViolation(f"diagnostics not finite at t = {state.t:.6g}: {exc}") from None
+    for name, value in zip(csv_columns(len(config.besov_indices)), record.row()):
+        if not math.isfinite(value):
+            raise InvariantViolation(f"diagnostics not finite at t = {state.t:.6g}: {name} = {value}")
+    return record
+
+
 class _Stepper:
     """A run's stepping context. pi is the last potential solved, and the next
     pressure solve starts from it (the converged potential does not depend on
@@ -453,7 +475,7 @@ def run_simulation(config: SimConfig) -> SimulationResult:
             k1 = stepper.tendency(state)
             if step % config.record_every == 0 or step == n_steps:
                 state = replace(state, grad_pi=gradient(stepper.pi))
-                records.append(make_record(state, config, bank, records[-1] if records else None))
+                records.append(_checked_record(state, config, bank, records[-1] if records else None))
     except (InvariantViolation, PressureSolveError) as exc:
         failure = str(exc)
     return SimulationResult(records, state, norms, failure)

@@ -193,12 +193,18 @@ class TestConditionsOutOfFloatRange:
         expected = {"gamma1_general": ([math.inf], False), "gamma1_2d": ([math.inf], False)}
         assert main(["check", "--config", str(cfg)]) == 3
         assert self.lhs(json.loads(capsys.readouterr().out)) == expected
-        if value < 1e150:  # a run at 1e160 overflows its pressure diagnostics first
-            out = tmp_path / "o"
-            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-            summary = json.loads((out / "summary.json").read_text())
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        if value < 1e150:
+            assert code == 0
             assert summary["completed"] is True
             assert self.lhs(summary["conditions"]) == expected
+        else:  # |grad Pi| near 1e160: its L^2 norm overflows, an abort rather than NaN rows
+            assert code == 2
+            assert summary["completed"] is False
+            assert summary["failure"].startswith("diagnostics not finite at t = 0: ")
+            assert (out / "records.csv").read_text() == ",".join(csv_columns(1)) + "\n"
 
     def test_zero_velocity_over_a_huge_bump(self, tmp_path, capsys):
         cfg = tmp_path / "check.json"

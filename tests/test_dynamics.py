@@ -192,12 +192,12 @@ class TestTransformCount:
     transforms."""
 
     @pytest.mark.parametrize("gamma, ic, expected", [
-        (1, ICRecipe(), 46),
-        (0, ICRecipe(rho_preset="single_mode", rho_params={"k": 1, "amplitude": 0.2}), 194),
+        (1, ICRecipe(), 34),
+        (0, ICRecipe(rho_preset="single_mode", rho_params={"k": 1, "amplitude": 0.2}), 182),
         # the bump_contrast4_n64 benchmark state, above the Concus-Golub crossover
         (0, ICRecipe(u_preset="random_shell", u_params={"j": 2, "amplitude": 0.25},
-                     rho_preset="gaussian_bump", rho_params={"width": 0.8, "amplitude": 3.0}), 250),
-    ])
+                     rho_preset="gaussian_bump", rho_params={"width": 0.8, "amplitude": 3.0}), 238),
+    ], ids=["uniform", "single_mode", "bump_contrast4"])
     def test_transforms_per_step(self, monkeypatch, gamma, ic, expected):
         cfg = SimConfig(alpha=1.0, gamma=gamma, grid=GridSpec(n=64), dt=1e-3, t_end=1e-3, ic=ic)
         state = initial_state(cfg)
@@ -211,6 +211,30 @@ class TestTransformCount:
         step_rk4(state, cfg)
         assert calls["fftn"] == calls["ifftn"] == 0
         assert calls["rfftn"] + calls["irfftn"] == expected
+
+
+class TestUniformStep:
+    """One step over a uniform density at n = 256, the planar gamma = 1 regime."""
+
+    @pytest.fixture(scope="class")
+    def uniform_n256(self):
+        cfg = SimConfig(alpha=0.5, gamma=1, grid=GridSpec(n=256), dt=1e-3, t_end=1e-3, ic=ICRecipe())
+        return cfg, initial_state(cfg)
+
+    def test_makes_no_blas_call(self, monkeypatch, uniform_n256):
+        # a threaded BLAS dot spins a helper thread above about 10^4 elements
+        def refuse(*args, **kwargs):
+            raise AssertionError("BLAS call in the stepping path")
+
+        for name in ("vdot", "dot", "inner", "matmul"):
+            monkeypatch.setattr(np, name, refuse)
+        cfg, state = uniform_n256
+        step_rk4(state, cfg)
+
+    def test_density_samples_bitwise_unchanged(self, uniform_n256):
+        # convective transport of a constant density: a zero tendency, bit for bit
+        cfg, state = uniform_n256
+        assert np.array_equal(step_rk4(state, cfg).rho.values, state.rho.values)
 
 
 class TestRunSimulation:
@@ -309,6 +333,18 @@ class TestRunSimulation:
         assert res.failed
         assert res.failure
         assert len(res.records) == 0  # fails in the very first record's solve
+
+    def test_non_finite_record_is_a_failure_naming_its_column(self, monkeypatch):
+        from dampedeuler import dynamics
+
+        def overflowing(state, *args):
+            record = make_record(state, *args)
+            return replace(record, besov_grad_pi=(math.inf,)) if state.t > 0 else record
+
+        monkeypatch.setattr(dynamics, "make_record", overflowing)
+        res = run_simulation(tg_config(alpha=0.5, n=32, dt=2e-3, t_end=0.01, record_every=2))
+        assert res.failure == "diagnostics not finite at t = 0.004: besov_gradPi_0 = inf"
+        assert len(res.records) == 1
 
     def test_failed_is_read_from_failure(self):
         assert SimulationResult([], None, None, failure="stalled").failed

@@ -11,6 +11,7 @@ from dampedeuler.fields import (
     ScalarField,
     VectorField,
     _half_tables,
+    _parseval_dot,
     advect,
     apply_multiplier,
     curl2d,
@@ -21,8 +22,11 @@ from dampedeuler.fields import (
     leray_project,
     lp_norm,
     perp_gradient,
+    self_advection,
     tables,
 )
+from dampedeuler.dynamics import taylor_green
+from dampedeuler.verify import random_dealiased_field
 
 from conftest import (
     fd_gradient,
@@ -293,6 +297,53 @@ class TestAdvect:
         u = VectorField.from_arrays(grid64, np.ones(grid64.shape), np.zeros(grid64.shape))
         out = advect(u, ScalarField.from_values(grid64, np.sin(x)))
         assert np.abs(out.values - np.cos(x)).max() <= 1e-13
+
+
+class TestSelfAdvection:
+    @staticmethod
+    def convective(u):
+        """(u . grad) u from products of samples of u and of its gradients."""
+        ux, uy = (c.values for c in u.components)
+        return [
+            dealias(ScalarField(u.grid, values=ux * gx.values + uy * gy.values))
+            for gx, gy in (gradient(c).components for c in u.components)
+        ]
+
+    def test_matches_convective_form_on_solenoidal_fields(self, grid64):
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            u = leray_project(VectorField(tuple(random_dealiased_field(grid64, rng) for _ in range(2))))
+            for flux, conv in zip(self_advection(u).components, self.convective(u)):
+                scale = np.abs(conv.values).max()
+                assert np.abs(flux.values - conv.values).max() <= 1e-13 * scale
+
+    def test_taylor_green_advection_is_a_gradient(self, grid64):
+        # steady Euler flow: (u . grad) u = -grad(p), so its solenoidal part vanishes
+        adv = self_advection(taylor_green(grid64))
+        assert lp_norm(leray_project(adv), 2) <= 1e-13 * lp_norm(adv, 2)
+
+
+class TestParsevalDot:
+    @staticmethod
+    def reference(x, y):
+        return (2.0 * np.vdot(x, y) - np.vdot(x[:, 0], y[:, 0]) - np.vdot(x[:, -1], y[:, -1])).real
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_matches_the_vdot_sum(self, n):
+        rng = np.random.default_rng(n)
+        x, y = (np.fft.rfftn(rng.standard_normal((n, n))) for _ in range(2))
+        for a, b in ((x, x), (x, y), (y, x)):
+            scale = math.sqrt(self.reference(a, a) * self.reference(b, b))
+            assert abs(_parseval_dot(a, b) - self.reference(a, b)) <= 1e-13 * scale
+
+
+class TestMagnitude:
+    @pytest.mark.parametrize("size", [1e-300, 1.0, 1e200])
+    def test_matches_hypot_at_every_size(self, grid64, size):
+        rng = np.random.default_rng(32)
+        vx, vy = (size * rng.standard_normal(grid64.shape) for _ in range(2))
+        mag = VectorField.from_arrays(grid64, vx, vy).magnitude()
+        np.testing.assert_allclose(mag, np.hypot(vx, vy), rtol=1e-15, atol=0.0)
 
 
 class TestDealias:
