@@ -258,7 +258,8 @@ def momentum_forcing(state: FluidState, config: SimConfig) -> VectorField:
     which equals it for a divergence-free u: states are Leray-projected, and
     a stage velocity adds tendencies whose divergence is the pressure solve's
     residual. The density is transported in convective form (density_rhs),
-    so a constant density has a zero tendency, bit for bit."""
+    so a constant density keeps a zero tendency, bit for bit; density_rhs
+    returns that zero without transport."""
     adv = self_advection(state.u)
     if config.gamma == 1:
         damp = dealias_vector(state.u)
@@ -280,7 +281,17 @@ def momentum_rhs(state: FluidState, config: SimConfig) -> VectorField:
 
 
 def density_rhs(state: FluidState) -> ScalarField:
-    """Density tendency -u . grad rho."""
+    """Density tendency -u . grad rho.
+
+    When every sample of rho is equal (an exact test, with no tolerance) the
+    tendency is zero, returned as samples without transport: convective
+    transport gives the same zero bit for bit, and a zero in samples keeps
+    each RK4 stage density rho + c * 0 in samples, which coefficient_bounds
+    reads with no inverse transform. A density one ulp from constant is
+    transported."""
+    values = state.rho.values
+    if values.min() == values.max():
+        return ScalarField.zero(state.rho.grid)
     return -advect(state.u, state.rho)
 
 

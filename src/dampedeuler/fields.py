@@ -164,8 +164,13 @@ def _parseval_dot(x: np.ndarray, y: np.ndarray) -> float:
     and count twice; the self-conjugate columns 0 and n/2 count once.
 
     Re(conj(x) y) is summed over the float views (re, im interleaved), with
-    no BLAS call: a threaded BLAS dot spins a helper thread at large n."""
+    no BLAS call: a threaded BLAS dot spins a helper thread at large n.
+    einsum overflows to inf without raising the floating-point flag; the
+    plain sum of the column sums is returned then, so that the result is
+    inf rather than the NaN (and the invalid flag) of inf - inf."""
     cols = np.einsum("ij,ij->j", x.view(float), y.view(float))
+    if np.isinf(cols).any():
+        return float(cols.sum())
     return float(2.0 * cols.sum() - cols[:2].sum() - cols[-2:].sum())
 
 

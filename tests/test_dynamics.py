@@ -4,6 +4,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+from dampedeuler import dynamics
 from dampedeuler.diagnostics import beta0, energy_balance_residual, make_record
 from dampedeuler.dynamics import (
     FluidState,
@@ -26,12 +27,14 @@ from dampedeuler.dynamics import (
     taylor_green,
     vorticity_forcing,
 )
+from dampedeuler.elliptic import PressureSolveError
 from dampedeuler.fields import (
     TWO_PI,
     GridSpec,
     ParameterError,
     ScalarField,
     VectorField,
+    advect,
     curl2d,
     gradient,
     lp_norm,
@@ -191,16 +194,9 @@ class TestTransformCount:
     are the counts of the current design; lower them when a change saves
     transforms."""
 
-    @pytest.mark.parametrize("gamma, ic, expected", [
-        (1, ICRecipe(), 34),
-        (0, ICRecipe(rho_preset="single_mode", rho_params={"k": 1, "amplitude": 0.2}), 182),
-        # the bump_contrast4_n64 benchmark state, above the Concus-Golub crossover
-        (0, ICRecipe(u_preset="random_shell", u_params={"j": 2, "amplitude": 0.25},
-                     rho_preset="gaussian_bump", rho_params={"width": 0.8, "amplitude": 3.0}), 238),
-    ], ids=["uniform", "single_mode", "bump_contrast4"])
-    def test_transforms_per_step(self, monkeypatch, gamma, ic, expected):
-        cfg = SimConfig(alpha=1.0, gamma=gamma, grid=GridSpec(n=64), dt=1e-3, t_end=1e-3, ic=ic)
-        state = initial_state(cfg)
+    @staticmethod
+    def transforms(monkeypatch, action) -> int:
+        """The real transforms that action() makes; it may make no complex one."""
         calls = dict.fromkeys(("rfftn", "irfftn", "fftn", "ifftn"), 0)
         for name in calls:
             def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
@@ -208,9 +204,82 @@ class TestTransformCount:
                 return _transform(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
-        step_rk4(state, cfg)
+        action()
+        monkeypatch.undo()
         assert calls["fftn"] == calls["ifftn"] == 0
-        assert calls["rfftn"] + calls["irfftn"] == expected
+        return calls["rfftn"] + calls["irfftn"]
+
+    @pytest.mark.parametrize("gamma, ic, expected", [
+        (1, ICRecipe(), 20),
+        (0, ICRecipe(), 28),
+        (0, ICRecipe(rho_preset="single_mode", rho_params={"k": 1, "amplitude": 0.2}), 182),
+        # the bump_contrast4_n64 benchmark state, above the Concus-Golub crossover
+        (0, ICRecipe(u_preset="random_shell", u_params={"j": 2, "amplitude": 0.25},
+                     rho_preset="gaussian_bump", rho_params={"width": 0.8, "amplitude": 3.0}), 238),
+    ], ids=["uniform", "uniform_gamma0", "single_mode", "bump_contrast4"])
+    def test_transforms_per_step(self, monkeypatch, gamma, ic, expected):
+        cfg = SimConfig(alpha=1.0, gamma=gamma, grid=GridSpec(n=64), dt=1e-3, t_end=1e-3, ic=ic)
+        state = initial_state(cfg)
+        assert self.transforms(monkeypatch, lambda: step_rk4(state, cfg)) == expected
+
+    def test_transforms_per_run_loop_step_at_uniform_density(self, monkeypatch):
+        # one pass of run_simulation's loop from a stepped state: each stage
+        # density rho + c * 0 keeps its samples, so coefficient_bounds reads
+        # them with no inverse transform
+        cfg = tg_config(n=64)
+        stepper = _Stepper(cfg)
+        state = initial_state(cfg)
+        state = stepper.step(state, stepper.tendency(state))
+        assert self.transforms(monkeypatch, lambda: stepper.step(state, stepper.tendency(state))) == 22
+
+
+class TestConstantDensityIsNotTransported:
+    """density_rhs returns a zero in samples, without transport, when every
+    sample of the density is equal; any other density is transported."""
+
+    @staticmethod
+    def state(grid, rho_values, u=None):
+        u = initial_state(tg_config(n=grid.n)).u if u is None else u
+        rho = ScalarField.from_values(grid, rho_values)
+        return FluidState(t=0.0, rho=rho, u=u, rho_bounds=(rho_values.min(), rho_values.max()))
+
+    def test_constant_density_gives_zero_samples(self, grid64):
+        state = self.state(grid64, np.full(grid64.shape, 1.5))
+        out = density_rhs(state)
+        assert out._spectrum is None and out._values is not None
+        assert not out.values.any()
+        assert np.array_equal(out.values, (-advect(state.u, state.rho)).values)
+
+    @pytest.mark.parametrize("perturbation", ["one_ulp", "cos_1e-15"])
+    def test_nearly_constant_density_is_transported(self, grid64, perturbation):
+        x, _ = grid64.nodes()
+        values = np.ones(grid64.shape)
+        if perturbation == "one_ulp":
+            values[5, 9] = np.nextafter(1.0, 2.0)
+        else:
+            values += 1e-15 * np.cos(x)
+        state = self.state(grid64, values)
+        out = density_rhs(state)
+        assert out.values.any()
+        assert np.array_equal(out.values, (-advect(state.u, state.rho)).values)
+
+    def test_uniform_step_makes_no_transport(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("density transported")
+
+        monkeypatch.setattr(dynamics, "advect", refuse)
+        cfg = tg_config(n=64)
+        state = initial_state(cfg)
+        assert np.array_equal(step_rk4(state, cfg).rho.values, state.rho.values)
+
+    def test_non_finite_velocity_still_aborts(self, grid64):
+        u = initial_state(tg_config(n=64)).u
+        vx = u.components[0].values.copy()
+        vx[3, 5] = np.nan
+        u = VectorField.from_arrays(grid64, vx, u.components[1].values)
+        state = self.state(grid64, np.ones(grid64.shape), u=u)
+        with pytest.raises(PressureSolveError, match="pressure source not finite"):
+            step_rk4(state, tg_config(n=64))
 
 
 class TestUniformStep:

@@ -336,6 +336,12 @@ class TestParsevalDot:
             scale = math.sqrt(self.reference(a, a) * self.reference(b, b))
             assert abs(_parseval_dot(a, b) - self.reference(a, b)) <= 1e-13 * scale
 
+    def test_overflow_is_inf_without_a_flag(self):
+        # einsum overflows to inf unflagged; the sum must not go on to inf - inf
+        x = np.fft.rfftn(np.full((8, 8), 1e160))
+        with np.errstate(over="raise", invalid="raise"):
+            assert _parseval_dot(x, x) == math.inf
+
 
 class TestMagnitude:
     @pytest.mark.parametrize("size", [1e-300, 1.0, 1e200])
