@@ -98,6 +98,7 @@ def build_summary(resolved: dict, config, result) -> dict:
         "decay_fits": {},
         "energy_balance_residual": None,
         "bkm": None,
+        "telemetry": result.telemetry,
     }
     if config.alpha > 0:
         params = smallness_params(resolved)

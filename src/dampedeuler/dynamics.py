@@ -10,8 +10,9 @@ with the pressure gradient recovered each stage from the elliptic solve that
 keeps the tendency divergence-free. Stepping is explicit RK4 with a Leray
 projection after each accepted step; damping is integrated inside the
 tendency (it is not stiff for the coefficient sizes of interest). A run's
-stepper starts each pressure solve from the last potential solved, across
-steps too; a state's first stage gives both its record's grad Pi and its step.
+stepper starts each pressure solve from the last potential solved plus the
+increment that the same RK4 stage added in the earlier steps, extrapolated
+(_Stepper); a state's first stage gives both its record's grad Pi and its step.
 """
 
 from __future__ import annotations
@@ -346,14 +347,15 @@ def _step_count(t_end: float, dt: float, record_every: int) -> int:
 
 
 def _rk4(rhs, t: float, y: tuple, dt: float, k1: tuple) -> tuple:
-    """One classical RK4 step of dy/dt = rhs(t, y) over a tuple of fields,
-    before any truncation of the result, given the first stage k1 = rhs(t, y).
-    The later stages are evaluated in order, so rhs may carry state from one
-    stage to the next. Changing the operand order of the stage arithmetic
-    changes the results in the last bits."""
-    k2 = rhs(t + dt / 2, tuple(a + 0.5 * dt * k for a, k in zip(y, k1)))
-    k3 = rhs(t + dt / 2, tuple(a + 0.5 * dt * k for a, k in zip(y, k2)))
-    k4 = rhs(t + dt, tuple(a + dt * k for a, k in zip(y, k3)))
+    """One classical RK4 step of dy/dt = rhs(stage, t, y) over a tuple of
+    fields, before any truncation of the result, given the first stage
+    k1 = rhs(1, t, y). The later stages 2, 3, 4 are evaluated in order, each
+    told its index, so rhs may carry state from one stage to the next.
+    Changing the operand order of the stage arithmetic changes the results in
+    the last bits."""
+    k2 = rhs(2, t + dt / 2, tuple(a + 0.5 * dt * k for a, k in zip(y, k1)))
+    k3 = rhs(3, t + dt / 2, tuple(a + 0.5 * dt * k for a, k in zip(y, k2)))
+    k4 = rhs(4, t + dt, tuple(a + dt * k for a, k in zip(y, k3)))
     return tuple(
         a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
@@ -403,48 +405,79 @@ def _checked_record(state: FluidState, config: SimConfig, bank,
 
 
 class _Stepper:
-    """A run's stepping context. pi is the last potential solved, and the next
-    pressure solve starts from it (the converged potential does not depend on
-    the guess): a state's first stage from the last stage of the step before,
-    each later stage from the stage before."""
+    """A run's stepping context. Each pressure solve starts from a guess (the
+    converged potential does not depend on it) built from pi, the last
+    potential solved: by a state's first stage, the last stage of the step
+    before; by each later stage, the stage before. Stage s of step m starts
+    from pi + 2 D_s(m-1) - D_s(m-2), where D_s(k) is the increment that
+    stage s added to pi in step k; with one earlier step from pi + D_s(m-1),
+    and before that from pi. The increments are kept only while the solve
+    reads its guess, which it never does at uniform density. solves,
+    iterations and max_iterations count the converged solves."""
 
     def __init__(self, config: SimConfig):
         self.config, self.pi = config, None
+        self.increments = {}  # stage -> half spectra (D_s(m-1), D_s(m-2) or None)
+        self.solves = self.iterations = self.max_iterations = 0
 
-    def velocity_tendency(self, state: FluidState) -> VectorField:
-        """d_t u at state; its solve starts from pi and leaves the new potential there."""
+    def guess(self, stage: int) -> ScalarField | None:
+        """The initial guess of the solve of RK4 stage 1..4."""
+        if stage not in self.increments:
+            return self.pi
+        last, before = self.increments[stage]
+        shift = last if before is None else 2.0 * last - before
+        return ScalarField(self.pi.grid, spectrum=self.pi.spectrum + shift)
+
+    def velocity_tendency(self, state: FluidState, stage: int = 1) -> VectorField:
+        """d_t u at state, as RK4 stage 1..4; its solve starts from guess(stage)
+        and leaves the new potential in pi."""
         try:
-            coefficient_bounds(state.rho)
+            bounds = coefficient_bounds(state.rho)
         except ValueError as exc:
             raise InvariantViolation(f"stage {exc} at t = {state.t:.6g}") from None
         forcing = momentum_forcing(state, self.config)
-        sol = solve_pressure(state.rho, forcing, self.config.pressure, initial_guess=self.pi)
+        warm = not bounds.uniform
+        sol = solve_pressure(state.rho, forcing, self.config.pressure,
+                             initial_guess=self.guess(stage) if warm else None)
+        if warm and self.pi is not None:
+            older = self.increments.get(stage, (None,))[0]
+            self.increments[stage] = (sol.pi.spectrum - self.pi.spectrum, older)
         self.pi = sol.pi
+        self.solves += 1
+        self.iterations += sol.iterations
+        self.max_iterations = max(self.max_iterations, sol.iterations)
         return -(forcing + sol.accel)
 
-    def tendency(self, state: FluidState) -> tuple[ScalarField, VectorField]:
-        """(d_t rho, d_t u) at state."""
-        velocity = self.velocity_tendency(state)  # first, so the old pi is freed: peak memory
+    def tendency(self, state: FluidState, stage: int = 1) -> tuple[ScalarField, VectorField]:
+        """(d_t rho, d_t u) at state, as RK4 stage 1..4."""
+        velocity = self.velocity_tendency(state, stage)  # first, so the old pi is freed: peak memory
         return density_rhs(state), velocity
 
     def step(self, state: FluidState, k1: tuple) -> FluidState:
         """One RK4 step from state, given its first stage k1 = tendency(state)."""
         bounds = state.rho_bounds or (float(state.rho.values.min()), float(state.rho.values.max()))
-        rho_new, u_new = _rk4(lambda t, y: self.tendency(FluidState(t, *y, rho_bounds=bounds)),
-                              state.t, (state.rho, state.u), self.config.dt, k1)
+        rho_new, u_new = _rk4(
+            lambda stage, t, y: self.tendency(FluidState(t, *y, rho_bounds=bounds), stage),
+            state.t, (state.rho, state.u), self.config.dt, k1)
         new = FluidState(t=state.t + self.config.dt, rho=dealias(rho_new),
                          u=leray_project(dealias_vector(u_new)), rho_bounds=bounds)
         _check_invariants(new)
         return new
 
+    def telemetry(self) -> dict:
+        """The counts of the solves made, for the run's summary."""
+        return {"pressure": {"solves": self.solves, "iterations": self.iterations,
+                             "max_iterations": self.max_iterations}}
+
 
 def step_rk4(state: FluidState, config: SimConfig) -> FluidState:
     """Advance one RK4 step with per-stage pressure solves.
 
-    The first stage's solve is cold; each later stage starts from the
-    previous stage's potential. The updated velocity is Leray-projected to
-    absorb the O(dt^5) divergence drift, and the density/velocity stay
-    truncated to retained modes. State invariants are asserted on the result.
+    The step runs on a fresh stepper, which holds no increments: the first
+    stage's solve is cold and each later stage starts from the previous
+    stage's potential. The updated velocity is Leray-projected to absorb the
+    O(dt^5) divergence drift, and the density/velocity stay truncated to
+    retained modes. State invariants are asserted on the result.
     """
     stepper = _Stepper(config)
     return stepper.step(state, stepper.tendency(state))
@@ -460,6 +493,7 @@ class SimulationResult:
     final_state: FluidState | None
     initial_norms: InitialNorms  # of the t = 0 state, for the condition reports
     failure: str | None = None
+    telemetry: dict | None = None  # _Stepper.telemetry(): counts, no timings
 
     @property
     def failed(self) -> bool:
@@ -489,7 +523,7 @@ def run_simulation(config: SimConfig) -> SimulationResult:
                 records.append(_checked_record(state, config, bank, records[-1] if records else None))
     except (InvariantViolation, PressureSolveError) as exc:
         failure = str(exc)
-    return SimulationResult(records, state, norms, failure)
+    return SimulationResult(records, state, norms, failure, stepper.telemetry())
 
 
 def solve_linear_transport(
@@ -507,7 +541,7 @@ def solve_linear_transport(
     steps. With g = 0 the L^2 norm is conserved up to the RK4 error.
     """
 
-    def rhs(t: float, y: tuple[ScalarField]) -> tuple[ScalarField]:
+    def rhs(stage: int, t: float, y: tuple[ScalarField]) -> tuple[ScalarField]:
         out = -advect(velocity(t), y[0])
         if forcing is not None:
             out = out + forcing(t)
@@ -518,7 +552,7 @@ def solve_linear_transport(
     trajectory = [(0.0, f)]
     t = 0.0
     for step in range(1, n_steps + 1):
-        (f,) = _rk4(rhs, t, (f,), dt, rhs(t, (f,)))
+        (f,) = _rk4(rhs, t, (f,), dt, rhs(1, t, (f,)))
         f = dealias(f)
         t = step * dt
         if step % record_every == 0 or step == n_steps:

@@ -4,9 +4,9 @@ The discrete operator is the dealiased pseudo-spectral one: derivatives are
 spectral and the coefficient product is truncated with the 2/3 rule, which is
 exactly the operator the momentum tendency needs so that its divergence
 vanishes; the solve also returns that tendency's pressure term dealias((1/rho)
-grad Pi). Every solve is one preconditioned conjugate gradients loop, cold
-started from the preconditioned source; the density contrast rho_max / rho_min
-picks the preconditioner:
+grad Pi). Every solve is one preconditioned conjugate gradients loop, started
+from the caller's guess or else cold from the preconditioned source; the
+density contrast rho_max / rho_min picks the preconditioner:
 
 - at or below CONCUS_GOLUB_CONTRAST, the constant-coefficient inverse
   Laplacian (-abar Lap)^{-1} (midpoint coefficient abar), which costs no
@@ -25,12 +25,15 @@ Iterations of one cold solve (Gaussian bump, n = 64):
     (-abar Lap)^{-1}          8  14   21   35   63   116   371
     Concus-Golub              6   8   10   12   17    23    45
 
-The constant is where the warm-started solves of a run cross over in
-transforms per solve: on the bump_contrast4_n64 benchmark workload with the
-bump amplitude varied (50 steps, 201 solves), the constant-coefficient
-preconditioner against Concus-Golub took 26.1/32.1 at contrast 1.5,
-29.1/32.1 at 1.75, 32.1/32.1 from 1.9 to 2.1, 34.1/32.1 at 2.25 and
-40.2/38.1 at 3.
+The constant is where the warm-started solves of a run crossed over in
+transforms per solve when each started from the last potential alone: on the
+bump_contrast4_n64 benchmark workload with the bump amplitude varied (50
+steps, 201 solves), the constant-coefficient preconditioner against
+Concus-Golub took 26.1/32.1 at contrast 1.5, 29.1/32.1 at 1.75, 32.1/32.1
+from 1.9 to 2.1, 34.1/32.1 at 2.25 and 40.2/38.1 at 3. With the extrapolated
+guesses of dynamics._Stepper they take 11.4/12.7 at 1.5, 13.7/14.3 at 2.1,
+14.0/14.6 at 3 and 16.2/14.6 at 4: the crossover has moved to between 3
+and 4, and the constant has not followed it.
 """
 
 from __future__ import annotations
@@ -170,8 +173,11 @@ def solve_pressure(
     dealias((1/rho) grad Pi), the iteration count and the final relative
     L^2 residual. Raises PressureSolveError (carrying the residual) if the
     source is not finite or the tolerance is not reached within max_iter
-    iterations. An initial_guess (for example the previous time step's
-    potential) shortens the iteration but never changes the converged answer.
+    iterations. An initial_guess (dynamics._Stepper extrapolates one from
+    earlier potentials) shortens the iteration but never changes the
+    converged answer; only its dealiased modes are read, and of its
+    self-conjugate column k_y = 0 only the Hermitian part, which the inverse
+    transform sees. At uniform density no guess is read.
     """
     grid = rho.grid
     t = _half_tables(grid)
@@ -190,14 +196,21 @@ def solve_pressure(
         zero = ScalarField.zero(grid)
         return PressureSolution(zero, VectorField((zero, zero)), 1, rhs_norm, (rhs_norm,))
 
-    # preconditioned conjugate gradients on the Parseval inner product, cold
-    # started from the preconditioned source; res = -div(a grad Pi) - rhs and
+    # preconditioned conjugate gradients on the Parseval inner product, from
+    # the guess or the preconditioned source; res = -div(a grad Pi) - rhs and
     # the flux of Pi are updated recursively, one operator evaluation per
     # iteration. A constant coefficient a makes the operator diagonal and the
     # cold start exact (no guess is read), so the first evaluation returns.
     precondition = preconditioner(rho, bounds)
-    pi_hat = (precondition(rhs_hat) if initial_guess is None or bounds.uniform
-              else initial_guess.spectrum * t.dealias_mask)
+    if initial_guess is None or bounds.uniform:
+        pi_hat = precondition(rhs_hat)
+    else:
+        # the inverse transform reads only the Hermitian part of the
+        # self-conjugate column k_y = 0 (column n/2 is masked): the rest would
+        # pass through the iteration unseen into pi.spectrum
+        pi_hat = initial_guess.spectrum * t.dealias_mask
+        col = pi_hat[:, 0]
+        pi_hat[:, 0] = 0.5 * (col + np.conj(np.roll(col[::-1], 1)))
     res_hat, *flux = operator_residual(a, pi_hat, rhs_hat, grid)
     del rhs_hat  # the residual is updated without it from here on: peak memory
     iterations = 1

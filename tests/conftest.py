@@ -57,3 +57,18 @@ def random_band_limited(grid, rng):
 
 def random_band_limited_vector(grid, rng):
     return VectorField((random_band_limited(grid, rng), random_band_limited(grid, rng)))
+
+
+def bump_run_doc(amplitude):
+    """The run configuration of the bump_contrast4_n64 benchmark workload
+    with the given bump amplitude, cut to ten steps."""
+    return {
+        "physics": {"alpha": 1.0, "gamma": 0},
+        "grid": {"n": 64},
+        "time": {"dt": 2e-3, "t_end": 0.02, "record_every": 10},
+        "ic": {
+            "u_preset": "random_shell", "u_params": {"j": 2, "amplitude": 0.25},
+            "rho_preset": "gaussian_bump", "rho_params": {"width": 0.8, "amplitude": amplitude},
+            "seed": 0,
+        },
+    }

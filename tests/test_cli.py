@@ -11,6 +11,8 @@ from dampedeuler.verify import check_partition_of_unity
 from dampedeuler.littlewood_paley import build_filter_bank
 from dampedeuler.fields import GridSpec
 
+from conftest import bump_run_doc
+
 
 def write_config(path, **overrides):
     doc = {
@@ -85,6 +87,18 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out_a)]) == 0
         assert main(["run", "--config", str(cfg), "--out", str(out_b)]) == 0
         assert (out_a / "records.csv").read_bytes() == (out_b / "records.csv").read_bytes()
+
+    def test_summary_counts_the_pressure_solves(self, tmp_path):
+        # ten steps of the bump_contrast4_n64 benchmark workload: four solves
+        # a step and one for the final record; counts only, so reruns match
+        cfg = tmp_path / "bump.json"
+        cfg.write_text(json.dumps(bump_run_doc(3.0)))
+        summaries = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            summaries.append(json.loads((out / "summary.json").read_text()))
+        expected = {"pressure": {"solves": 41, "iterations": 110, "max_iterations": 8}}
+        assert summaries[0]["telemetry"] == summaries[1]["telemetry"] == expected
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
