@@ -29,7 +29,7 @@ class ConfigError(ParameterError):
 
 _DEFAULTS = {
     "physics": {"alpha": 1.0, "gamma": 1},
-    "grid": {"n": 64, "dealias_fraction": GridSpec.dealias_fraction},
+    "grid": {"n": 64},
     "time": {"dt": 1e-3, "t_end": 1.0, "record_every": 1},
     "ic": {
         "u_preset": ICRecipe.u_preset,

@@ -37,7 +37,6 @@ from .fields import (
     advect,
     apply_multiplier,
     dealias,
-    dealias_vector,
     divergence,
     gradient,
     leray_project,
@@ -114,7 +113,6 @@ def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> VectorField:
         grid,
         amplitude * np.sin(x) * np.cos(y),
         -amplitude * np.cos(x) * np.sin(y),
-        divergence_free=True,
     )
 
 
@@ -125,7 +123,7 @@ def random_shell(grid: GridSpec, j: int = 2, amplitude: float = 1.0, seed: int =
         raise ValueError(f"shell index {j} outside [0, {bank.j_max}]")
     rng = np.random.default_rng(seed)
     white = [ScalarField(grid, values=rng.standard_normal(grid.shape)) for _ in range(2)]
-    v = leray_project(VectorField(tuple(apply_multiplier(w, bank.phi_profiles[j]) for w in white)))
+    v = leray_project(apply_multiplier(VectorField(white), bank.phi_profiles[j]))
     norm = lp_norm(v, 2)
     if norm == 0.0:
         raise ValueError("degenerate random shell draw")
@@ -136,9 +134,7 @@ def swirl(grid: GridSpec, amplitude: float = 1.0) -> VectorField:
     """Grid-periodic swirl (-sin y, sin x): rigid rotation near the origin,
     hyperbolic stagnation points at (0, pi) and (pi, 0)."""
     x, y = grid.nodes()
-    return VectorField.from_arrays(
-        grid, -amplitude * np.sin(y), amplitude * np.sin(x), divergence_free=True
-    )
+    return VectorField.from_arrays(grid, -amplitude * np.sin(y), amplitude * np.sin(x))
 
 
 def rho_constant(grid: GridSpec, value: float = 1.0) -> ScalarField:
@@ -215,7 +211,7 @@ def initial_state(config: SimConfig) -> FluidState:
     built = []
     for kind, name, factory, finish in zip(
         ("u", "rho"), ("velocity", "density"), preset_factories(config),
-        (lambda v: leray_project(dealias_vector(v)), dealias),
+        (lambda v: leray_project(dealias(v)), dealias),
     ):
         try:
             with np.errstate(over="raise", invalid="raise"):
@@ -263,7 +259,7 @@ def momentum_forcing(state: FluidState, config: SimConfig) -> VectorField:
     returns that zero without transport."""
     adv = self_advection(state.u)
     if config.gamma == 1:
-        damp = dealias_vector(state.u)
+        damp = dealias(state.u)
     else:
         damp = scale_vector(state.u, ScalarField(state.rho.grid, values=1.0 / state.rho.values))
     return adv + config.alpha * damp
@@ -460,7 +456,7 @@ class _Stepper:
             lambda stage, t, y: self.tendency(FluidState(t, *y, rho_bounds=bounds), stage),
             state.t, (state.rho, state.u), self.config.dt, k1)
         new = FluidState(t=state.t + self.config.dt, rho=dealias(rho_new),
-                         u=leray_project(dealias_vector(u_new)), rho_bounds=bounds)
+                         u=leray_project(dealias(u_new)), rho_bounds=bounds)
         _check_invariants(new)
         return new
 

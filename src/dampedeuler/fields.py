@@ -63,25 +63,22 @@ class GridSpec:
     ----------
     n : int
         Points per dimension; must be a power of two, at least 8.
-    dealias_fraction : float
-        Fraction of modes retained by the 2/3-rule truncation.
+
+    Quadratic terms are alias-free only under the 2/3 rule (Orszag, J.
+    Atmos. Sci. 28, 1971), so the truncation is fixed: the retained modes
+    are |k_i| <= k_max = n // 3, at least 2 on the smallest grid.
     """
 
     n: int
-    dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
         if not (self.n >= 8 and (self.n & (self.n - 1)) == 0):
             raise ParameterError("n", f"must be a power of two >= 8, got {self.n}")
-        if not 0.0 < self.dealias_fraction <= 1.0:
-            raise ParameterError("dealias_fraction", "must lie in (0, 1]")
-        if self.k_max < 2:
-            raise ParameterError("dealias_fraction", f"gives cutoff k_max = {self.k_max} < 2")
 
     @property
     def k_max(self) -> int:
         """Largest retained wavenumber component (integer mode index)."""
-        return int(self.dealias_fraction * (self.n // 2))
+        return self.n // 3
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -107,7 +104,7 @@ class SpectralTables(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _tables_for(n: int, dealias_fraction: float, cols: int) -> SpectralTables:
+def _tables_for(n: int, cols: int) -> SpectralTables:
     """The tables on columns 0..cols-1 (FFT order) of the (n, n) lattice."""
     modes = (np.arange(n) + n // 2) % n - n // 2  # integer mode indices, FFT order
     rx, ry = np.meshgrid(modes, modes[:cols], indexing="ij")
@@ -123,7 +120,7 @@ def _tables_for(n: int, dealias_fraction: float, cols: int) -> SpectralTables:
     ksq = kx**2 + ky**2
     ddx, ddy = 1j * kx, 1j * ky
 
-    k_max = int(dealias_fraction * (n // 2))
+    k_max = GridSpec(n).k_max
     mx, my = np.meshgrid(np.abs(modes), np.abs(modes[:cols]), indexing="ij")
     dealias_mask = (mx <= k_max) & (my <= k_max)
 
@@ -137,12 +134,12 @@ def _tables_for(n: int, dealias_fraction: float, cols: int) -> SpectralTables:
 def tables(grid: GridSpec) -> SpectralTables:
     """The tables over the full (n, n) lattice, for callers that index a full
     spectrum; the package itself reads only _half_tables."""
-    return _tables_for(grid.n, grid.dealias_fraction, grid.n)
+    return _tables_for(grid.n, grid.n)
 
 
 def _half_tables(grid: GridSpec) -> SpectralTables:
     """The tables over the half lattice (n, n//2 + 1), where every spectrum lives."""
-    return _tables_for(grid.n, grid.dealias_fraction, grid.n // 2 + 1)
+    return _tables_for(grid.n, grid.n // 2 + 1)
 
 
 def _fftn(values: np.ndarray) -> np.ndarray:
@@ -281,42 +278,27 @@ class ScalarField:
 
 
 class VectorField:
-    """Pair of ScalarField components, optionally asserted divergence-free."""
+    """Pair of ScalarField components on one grid. Whether a field is
+    divergence-free is not recorded here: the stepper asserts it of every
+    state it returns (dynamics._check_invariants)."""
 
-    __slots__ = ("components", "divergence_free")
+    __slots__ = ("components",)
 
-    DIV_FREE_TOL = 1e-10
-
-    def __init__(self, components, divergence_free: bool = False, check: bool = True):
+    def __init__(self, components):
         components = tuple(components)
         if len(components) != 2:
             raise ValueError("VectorField needs exactly two components")
         if components[0].grid is not components[1].grid and components[0].grid != components[1].grid:
             raise ValueError("components live on different grids")
         self.components = components
-        self.divergence_free = bool(divergence_free)
-        # check=False is for constructions that are divergence-free mode by
-        # mode (projection, perp gradient), where a relative check would
-        # reject near-zero outputs made of rounding dust
-        if self.divergence_free and check:
-            vnorm = lp_norm(self, 2)
-            dnorm = lp_norm(divergence(self), 2)
-            if dnorm > self.DIV_FREE_TOL * max(vnorm, 1e-300):
-                raise ValueError(
-                    f"divergence-free assertion violated: |div v| = {dnorm:.3e}, "
-                    f"|v| = {vnorm:.3e}"
-                )
 
     @classmethod
-    def from_arrays(cls, grid: GridSpec, vx, vy, divergence_free=False) -> "VectorField":
-        return cls(
-            (ScalarField.from_values(grid, vx), ScalarField.from_values(grid, vy)),
-            divergence_free=divergence_free,
-        )
+    def from_arrays(cls, grid: GridSpec, vx, vy) -> "VectorField":
+        return cls((ScalarField.from_values(grid, vx), ScalarField.from_values(grid, vy)))
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "VectorField":
-        return cls((ScalarField.zero(grid), ScalarField.zero(grid)), divergence_free=True)
+        return cls((ScalarField.zero(grid), ScalarField.zero(grid)))
 
     @property
     def grid(self) -> GridSpec:
@@ -347,7 +329,7 @@ class VectorField:
         return self * (-1.0)
 
     def __repr__(self):
-        return f"VectorField(n={self.grid.n}, divergence_free={self.divergence_free})"
+        return f"VectorField(n={self.grid.n})"
 
 
 Field = ScalarField | VectorField
@@ -367,10 +349,13 @@ def hermitian_defect(f: ScalarField) -> float:
     return float(np.abs(cols - mirrored).max()) / scale
 
 
-def apply_multiplier(f: ScalarField, mult: np.ndarray) -> ScalarField:
-    """Multiply the spectrum by mult, an array over the half lattice."""
+def apply_multiplier(f: Field, mult: np.ndarray) -> Field:
+    """Multiply the spectrum of a scalar field, or of each component of a
+    vector field, by mult, an array over the half lattice."""
     if mult.shape != (f.grid.n, f.grid.n // 2 + 1):
         raise ValueError(f"multiplier shape {mult.shape} is not the half lattice of n = {f.grid.n}")
+    if isinstance(f, VectorField):
+        return VectorField(apply_multiplier(c, mult) for c in f.components)
     return ScalarField(f.grid, spectrum=f.spectrum * mult)
 
 
@@ -394,13 +379,9 @@ def curl2d(v: VectorField) -> ScalarField:
 
 
 def perp_gradient(f: ScalarField) -> VectorField:
-    """Rotated gradient (-d_y f, d_x f); always divergence-free."""
+    """Rotated gradient (-d_y f, d_x f); divergence-free mode by mode."""
     t = _half_tables(f.grid)
-    return VectorField(
-        (apply_multiplier(f, -t.ddy), apply_multiplier(f, t.ddx)),
-        divergence_free=True,
-        check=False,
-    )
+    return VectorField((apply_multiplier(f, -t.ddy), apply_multiplier(f, t.ddx)))
 
 
 def leray_project(v: VectorField) -> VectorField:
@@ -413,14 +394,8 @@ def leray_project(v: VectorField) -> VectorField:
     vx_hat = v.components[0].spectrum
     vy_hat = v.components[1].spectrum
     helm = (t.kx * vx_hat + t.ky * vy_hat) * t.inv_neg_lap
-    return VectorField(
-        (
-            ScalarField(v.grid, spectrum=vx_hat - t.kx * helm),
-            ScalarField(v.grid, spectrum=vy_hat - t.ky * helm),
-        ),
-        divergence_free=True,
-        check=False,
-    )
+    return VectorField((ScalarField(v.grid, spectrum=vx_hat - t.kx * helm),
+                        ScalarField(v.grid, spectrum=vy_hat - t.ky * helm)))
 
 
 def lp_norm(f: Field, p: float) -> float:
@@ -447,16 +422,11 @@ def lp_norm(f: Field, p: float) -> float:
     return float(np.mean(mag**p) ** (1.0 / p))
 
 
-def dealias(f: ScalarField) -> ScalarField:
-    """Zero every mode with any wavenumber component above k_max; idempotent."""
-    t = _half_tables(f.grid)
-    return ScalarField(f.grid, spectrum=f.spectrum * t.dealias_mask)
-
-
-def dealias_vector(v: VectorField) -> VectorField:
-    return VectorField(
-        tuple(dealias(c) for c in v.components), divergence_free=v.divergence_free
-    )
+def dealias(f: Field) -> Field:
+    """Zero every mode of a scalar field, or of each component of a vector
+    field, with any wavenumber component above k_max (the 2/3 rule);
+    idempotent."""
+    return apply_multiplier(f, _half_tables(f.grid).dealias_mask)
 
 
 def dealiased_product(f: ScalarField, g: ScalarField) -> ScalarField:

@@ -142,20 +142,13 @@ def partition_residual(bank: DyadicFilterBank) -> float:
     return float(np.abs(total - 1.0)[_half_tables(bank.grid).dealias_mask].max())
 
 
-def _multiply(f: Field, mult: np.ndarray) -> Field:
-    """Apply one Fourier multiplier to a scalar field or to each component."""
-    if isinstance(f, ScalarField):
-        return apply_multiplier(f, mult)
-    return VectorField(tuple(apply_multiplier(c, mult) for c in f.components))
-
-
 def dyadic_block(bank: DyadicFilterBank, f: Field, j: int):
     """Frequency-localized piece of f at dyadic scale 2^j (j = -1 is low-pass).
 
     The blocks reconstruct: summing over j = -1..j_max returns f exactly on
     retained modes.
     """
-    return _multiply(f, bank.block_profile(j))
+    return apply_multiplier(f, bank.block_profile(j))
 
 
 def low_cutoff(bank: DyadicFilterBank, f: Field, j: int):
@@ -166,7 +159,7 @@ def low_cutoff(bank: DyadicFilterBank, f: Field, j: int):
     mult = bank.chi_profile.copy()
     for k in range(0, top + 1):
         mult = mult + bank.phi_profiles[k]
-    return _multiply(f, mult)
+    return apply_multiplier(f, mult)
 
 
 def besov_norms(bank: DyadicFilterBank, f: Field, indices) -> tuple[float, ...]:
@@ -176,7 +169,7 @@ def besov_norms(bank: DyadicFilterBank, f: Field, indices) -> tuple[float, ...]:
     ps = sorted({idx.p for idx in indices}, key=lambda p: p != 2)
     terms = [[] for _ in indices]
     for j in bank.block_indices():
-        block = _multiply(f, bank.block_profile(j))
+        block = apply_multiplier(f, bank.block_profile(j))
         norms = {p: lp_norm(block, p) for p in ps}
         del block  # free before the next block is formed: peak memory
         for idx, t in zip(indices, terms):

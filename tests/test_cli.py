@@ -403,6 +403,19 @@ class TestConfigErrorsAtRunTime:
                     "expected a finite number") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_removed_dealias_fraction_is_a_config_error(self, tmp_path, capsys):
+        # the truncation is the fixed 2/3 rule of the grid; the key is gone
+        cfg = tmp_path / "old.json"
+        write_config(cfg, grid={"n": 32, "dealias_fraction": 2.0 / 3.0})
+        out = tmp_path / "o"
+        for argv in (
+            ["run", "--config", str(cfg), "--out", str(out)],
+            ["check", "--config", str(cfg)],
+        ):
+            assert main(argv) == 1, argv
+            assert "config error: grid.dealias_fraction: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, preset, params, message", [
         ("u", "random_shell", {"seed": 1.5}, "seed: expected an integer, got 1.5"),
         ("u", "random_shell", {"j": 1.5}, "j: expected an integer, got 1.5"),

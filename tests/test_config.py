@@ -40,12 +40,11 @@ RULES = [
     ({"grid": {"n": 48}}, "grid.n", lambda: GridSpec(n=48)),
     ({"grid": {"n": 4}}, "grid.n", lambda: GridSpec(n=4)),
     ({"grid": {"n": NAN}}, "grid.n", lambda: GridSpec(n=NAN)),
-    ({"grid": {"dealias_fraction": 0.0}}, "grid.dealias_fraction",
-     lambda: GridSpec(n=64, dealias_fraction=0.0)),
-    ({"grid": {"dealias_fraction": 1.5}}, "grid.dealias_fraction",
-     lambda: GridSpec(n=64, dealias_fraction=1.5)),
-    ({"grid": {"n": 8, "dealias_fraction": 0.4}}, "grid.dealias_fraction",
-     lambda: GridSpec(n=8, dealias_fraction=0.4)),
+    # a removed key is unknown, whatever its value (the truncation is fixed
+    # at the 2/3 rule); three cases so that the positional ids stay put
+    ({"grid": {"dealias_fraction": 0.0}}, "grid.dealias_fraction", None),
+    ({"grid": {"dealias_fraction": 2.0 / 3.0}}, "grid.dealias_fraction", None),
+    ({"grid": {"n": 8, "dealias_fraction": 0.4}}, "grid.dealias_fraction", None),
     ({"pressure": {"tol": 0.0}}, "pressure.tol", lambda: PressureSolveParams(tol=0.0)),
     ({"pressure": {"tol": NAN}}, "pressure.tol", lambda: PressureSolveParams(tol=NAN)),
     ({"pressure": {"max_iter": 0}}, "pressure.max_iter", lambda: PressureSolveParams(max_iter=0)),

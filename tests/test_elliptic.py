@@ -216,12 +216,22 @@ class TestPreconditioner:
         assert CoefficientBounds(a_star=0.25, a_upper=1.0).contrast == 4.0
 
     def test_constant_coefficient_path_at_low_contrast(self, grid64):
-        rho = cosine_density(grid64, 0.2)  # contrast 1.5
-        bounds = coefficient_bounds(rho)
-        assert bounds.contrast <= CONCUS_GOLUB_CONTRAST
-        r_hat = random_dealiased_field(grid64, np.random.default_rng(14)).spectrum
-        expected = r_hat * _half_tables(grid64).inv_neg_lap / bounds.midpoint
-        assert np.array_equal(preconditioner(rho, bounds)(r_hat), expected)
+        # contrast 1.5 and 2.5, below the seed-0 crossover of a run's
+        # warm-started solves (module docstring)
+        for amplitude, contrast in ((0.2, 1.5), (3.0 / 7.0, 2.5)):
+            rho = cosine_density(grid64, amplitude)
+            bounds = coefficient_bounds(rho)
+            assert bounds.contrast == pytest.approx(contrast, rel=1e-12)
+            r_hat = random_dealiased_field(grid64, np.random.default_rng(14)).spectrum
+            expected = r_hat * _half_tables(grid64).inv_neg_lap / bounds.midpoint
+            assert np.array_equal(preconditioner(rho, bounds)(r_hat), expected)
+
+    def test_uniform_is_exact(self, grid64):
+        # an exact test with no tolerance, as in dynamics.density_rhs
+        x, _ = grid64.nodes()
+        near = ScalarField.from_values(grid64, 1.0 + 1e-15 * np.cos(x))
+        assert not coefficient_bounds(near).uniform
+        assert coefficient_bounds(ScalarField.constant(grid64, 1.3)).uniform
 
     def test_concus_golub_is_self_adjoint_and_positive(self, grid64):
         rho = cosine_density(grid64, 9.0 / 11.0)  # contrast 10

@@ -39,17 +39,15 @@ from conftest import (
 
 class TestGridSpec:
     def test_k_max_at_default_dealias(self):
+        assert GridSpec(n=8).k_max == 2
         assert GridSpec(n=64).k_max == 21
         assert GridSpec(n=128).k_max == 42
+        assert GridSpec(n=256).k_max == 85
 
     @pytest.mark.parametrize("n", [7, 12, 100, 4])
     def test_rejects_non_power_of_two(self, n):
         with pytest.raises(ValueError):
             GridSpec(n=n)
-
-    def test_rejects_tiny_cutoff(self):
-        with pytest.raises(ValueError):
-            GridSpec(n=8, dealias_fraction=0.3)
 
 
 class TestTransforms:
@@ -80,7 +78,7 @@ class TestTransforms:
             ScalarField.from_spectrum(grid64, np.zeros((64, 32), dtype=complex))
 
     @pytest.mark.parametrize("grid", [
-        GridSpec(n=8, dealias_fraction=0.5),
+        GridSpec(n=8),
         GridSpec(n=64),
     ], ids=["n8_half", "n64"])
     def test_half_tables_are_the_first_columns_of_the_full_tables(self, grid):

@@ -63,7 +63,7 @@ class TestFilterBank:
             assert np.all(prof[outside] == 0.0)
 
     def test_minimal_grid_still_hosts_a_block(self):
-        bank = build_filter_bank(GridSpec(n=8, dealias_fraction=0.5))  # k_max = 2
+        bank = build_filter_bank(GridSpec(n=8))  # k_max = 2
         assert bank.j_max >= 1
         assert partition_residual(bank) == 0.0
 
