@@ -49,11 +49,14 @@ from .fields import (
     ParameterError,
     ScalarField,
     VectorField,
+    Workspace,
+    _divergence,
     _fftn,
-    _half_tables,
     _ifftn_real,
+    _new_spectrum,
     _parseval_dot,
     _parseval_l2,
+    _uniform,
     dealiased_product,
     divergence,
     gradient,
@@ -90,10 +93,15 @@ class PressureSolveParams:
 
 @dataclass(frozen=True)
 class CoefficientBounds:
-    """Range of the coefficient a = 1/rho."""
+    """Range of the coefficient a = 1/rho, and whether it is constant."""
 
     a_star: float   # inf of 1/rho = 1/max(rho)
     a_upper: float  # sup of 1/rho = 1/min(rho)
+    # every density sample equal (fields._uniform, the test that
+    # dynamics.density_rhs reads too): the operator is diagonal. Not
+    # a_star == a_upper, which also holds for two adjacent doubles whose
+    # reciprocals round alike.
+    uniform: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.a_star <= self.a_upper:
@@ -108,26 +116,23 @@ class CoefficientBounds:
         """rho_max / rho_min."""
         return self.a_upper / self.a_star
 
-    @property
-    def uniform(self) -> bool:
-        """Constant coefficient, an exact test with no tolerance: the operator
-        is diagonal. Every density that dynamics.density_rhs leaves
-        untransported (all samples equal) passes it."""
-        return self.a_star == self.a_upper
 
-
-def coefficient_bounds(rho: ScalarField) -> CoefficientBounds:
-    rho_min = float(rho.values.min())
-    rho_max = float(rho.values.max())
+def coefficient_bounds(rho: ScalarField | np.ndarray) -> CoefficientBounds:
+    """The bounds of a density field, or of its samples."""
+    values = rho.values if isinstance(rho, ScalarField) else rho
+    rho_min = float(values.min())
+    rho_max = float(values.max())
     if not (rho_min > 0.0 and math.isfinite(rho_max)):  # a NaN minimum fails too
         raise ValueError(f"density not finite and positive: min {rho_min:.3e}, max {rho_max:.3e}")
-    return CoefficientBounds(a_star=1.0 / rho_max, a_upper=1.0 / rho_min)
+    return CoefficientBounds(a_star=1.0 / rho_max, a_upper=1.0 / rho_min, uniform=_uniform(values))
 
 
 @dataclass(frozen=True)
 class PressureSolution:
     pi: ScalarField
-    accel: VectorField  # dealias((1/rho) grad Pi): the tendency's pressure term
+    # dealias((1/rho) grad Pi): the tendency's pressure term; a pair of
+    # workspace spectra when the solve was given a workspace
+    accel: VectorField | tuple[np.ndarray, np.ndarray]
     iterations: int
     residual: float
     residual_history: tuple[float, ...] = field(default=())
@@ -139,37 +144,29 @@ class PressureSolution:
 
 def operator_residual(a, pi_hat, rhs_hat, grid):
     """Half spectra of -div(A) - rhs and of the flux A = dealias(a * grad Pi);
-    a is the coefficient's samples, or a float: a constant, with no transform."""
-    t = _half_tables(grid)
-    if isinstance(a, float):
-        ax_hat, ay_hat = (d * pi_hat * a * t.dealias_mask for d in (t.ddx, t.ddy))
-    else:
-        ax_hat, ay_hat = (_fftn(a * _ifftn_real(d * pi_hat)) * t.dealias_mask
-                          for d in (t.ddx, t.ddy))
-    return -(t.ddx * ax_hat + t.ddy * ay_hat) - rhs_hat, ax_hat, ay_hat
+    a is the coefficient's samples, or a float: a constant, with no
+    transform, when pi_hat must be dealiased (its flux is not masked again)."""
+    work = Workspace(grid)
+    res_hat, *flux = (_new_spectrum(grid) for _ in range(3))
+    _operator(a, pi_hat, res_hat, flux, work)
+    return np.subtract(res_hat, rhs_hat, out=res_hat), *flux
 
 
 def preconditioner(rho: ScalarField, bounds: CoefficientBounds):
     """The solve's preconditioner, a map of half spectra r -> z: Concus-Golub
     above CONCUS_GOLUB_CONTRAST, else (-abar Lap)^{-1} (module docstring)."""
-    t = _half_tables(rho.grid)
-    if bounds.contrast <= CONCUS_GOLUB_CONTRAST:
-        abar = bounds.midpoint
-        return lambda r_hat: r_hat * t.inv_neg_lap / abar
-    s = np.sqrt(rho.values)
-
-    def concus_golub(r_hat):
-        w_hat = _fftn(s * _ifftn_real(r_hat)) * t.dealias_mask
-        return _fftn(s * _ifftn_real(w_hat * t.inv_neg_lap)) * t.dealias_mask
-
-    return concus_golub
+    work = Workspace(rho.grid)
+    s = _preconditioner_samples(rho.values, bounds, work)
+    return lambda r_hat: _precondition(r_hat, np.empty_like(r_hat), bounds, s, work)
 
 
 def solve_pressure(
-    rho: ScalarField,
-    F: VectorField,
+    rho: ScalarField | np.ndarray,
+    F: VectorField | tuple[np.ndarray, np.ndarray],
     params: PressureSolveParams = PressureSolveParams(),
-    initial_guess: ScalarField | None = None,
+    initial_guess: ScalarField | np.ndarray | None = None,
+    *,
+    work: Workspace | None = None,
 ) -> PressureSolution:
     """Solve -div((1/rho) grad Pi) = div F with the zero-mean gauge for Pi.
 
@@ -182,45 +179,124 @@ def solve_pressure(
     converged answer; only its dealiased modes are read, and of its
     self-conjugate column k_y = 0 only the Hermitian part, which the inverse
     transform sees. At uniform density no guess is read.
-    """
-    grid = rho.grid
-    t = _half_tables(grid)
-    bounds = coefficient_bounds(rho)
-    a = bounds.a_star if bounds.uniform else 1.0 / rho.values
 
-    rhs_hat = divergence(F).spectrum * t.dealias_mask
-    rhs_norm = _parseval_l2(rhs_hat)
+    dynamics._Stepper passes the workspace of its run as work, and arrays in
+    place of the fields: rho the density samples, F the half spectra of a
+    dealiased forcing (so its divergence is not masked again) and
+    initial_guess None or a fresh half spectrum, which the solve masks in
+    place and keeps as the potential's array. The potential is a field all
+    the same; accel is then the pair of work's "flux_x" and "flux_y"
+    spectra, which the caller reads before the next kernel writes them.
+    """
+    field_api = work is None
+    if field_api:
+        grid, work = rho.grid, Workspace(rho.grid)
+        rho = rho.values
+        guess = None if initial_guess is None else initial_guess.spectrum.copy()
+        f_norm = lp_norm(F, 2)
+        res_hat = divergence(F).spectrum * work.tables.dealias_mask
+        flux = (_new_spectrum(grid), _new_spectrum(grid))
+    else:
+        grid, guess = work.grid, initial_guess
+        f_norm = math.hypot(*(_parseval_l2(f) for f in F))
+        res_hat = _divergence(*F, work.spectrum("residual"), work)
+        flux = (work.spectrum("flux_x"), work.spectrum("flux_y"))
+    bounds = coefficient_bounds(rho)
+    if guess is None or bounds.uniform:
+        guess, pi_hat = None, _new_spectrum(grid)
+    else:
+        pi_hat = guess
+        pi_hat *= work.tables.dealias_mask
+    a = bounds.a_star if bounds.uniform else np.divide(1.0, rho, out=work.samples("coefficient"))
+    s = _preconditioner_samples(rho, bounds, work)
+    iterations, residual, history = _pcg(a, bounds, s, res_hat, pi_hat, flux, f_norm, params, work,
+                                         guess is not None)
+    if field_api:
+        flux = VectorField(ScalarField(grid, spectrum=f) for f in flux)
+    return PressureSolution(ScalarField(grid, spectrum=pi_hat), flux, iterations, residual, history)
+
+
+# ---------------------------------------------------------------------------
+# array kernels (see fields): half spectra in, results written into the
+# buffers given
+
+
+def _preconditioner_samples(rho: np.ndarray, bounds: CoefficientBounds, work: Workspace):
+    """rho^{1/2}, the samples the Concus-Golub preconditioner multiplies by,
+    into work's "sqrt_density" samples; None at or below
+    CONCUS_GOLUB_CONTRAST, where (-abar Lap)^{-1} needs none."""
+    if bounds.contrast <= CONCUS_GOLUB_CONTRAST:
+        return None
+    return np.sqrt(rho, out=work.samples("sqrt_density"))
+
+
+def _precondition(r: np.ndarray, out: np.ndarray, bounds: CoefficientBounds, s, work: Workspace) -> np.ndarray:
+    """The preconditioner applied to the half spectrum r, into out; s is
+    _preconditioner_samples. Concus-Golub writes the "product" samples."""
+    t = work.tables
+    if s is None:
+        np.multiply(r, t.inv_neg_lap, out=out)
+        out /= bounds.midpoint
+        return out
+    g = _ifftn_real(r, out=work.samples("product"))
+    _fftn(np.multiply(s, g, out=g), out=out)
+    out *= t.dealias_mask
+    _ifftn_real(np.multiply(out, t.inv_neg_lap, out=out), out=g)
+    _fftn(np.multiply(s, g, out=g), out=out)
+    out *= t.dealias_mask
+    return out
+
+
+def _operator(a, p: np.ndarray, out: np.ndarray, flux, work: Workspace) -> np.ndarray:
+    """-div(A) into out and the flux A = dealias(a grad p) into the pair flux;
+    a is the coefficient's samples, or a float: a constant, when p must be
+    dealiased. Writes the "scratch" spectrum and the "product" samples."""
+    t = work.tables
+    for d, f in zip((t.ddx, t.ddy), flux):
+        np.multiply(d, p, out=f)
+        if isinstance(a, float):
+            f *= a
+        else:
+            g = _ifftn_real(f, out=work.samples("product"))
+            _fftn(np.multiply(a, g, out=g), out=f)
+            f *= t.dealias_mask
+    return np.negative(_divergence(*flux, out, work), out=out)
+
+
+def _pcg(a, bounds, s, res, pi, flux, f_norm, params, work, guessed) -> tuple[int, float, tuple]:
+    """Preconditioned conjugate gradients on the Parseval inner product. On
+    entry res holds the dealiased source div F, and pi the dealiased guess
+    if guessed; on return pi holds the potential, flux its flux and res the
+    residual -div(a grad Pi) - div F, which is updated recursively with the
+    flux, one operator evaluation per iteration. A constant coefficient a
+    makes the operator diagonal and the cold start exact (no guess is read),
+    so the first evaluation returns. Writes the "search", "z", "flux_p_x"
+    and "flux_p_y" spectra besides the scratch of _operator and _precondition."""
+    rhs_norm = _parseval_l2(res)
     if not math.isfinite(rhs_norm):
         raise PressureSolveError(f"pressure source not finite: |div F| = {rhs_norm}", rhs_norm, 0)
 
     # below the rounding floor of the divergence computation the source is
     # zero and the gauge-fixed solution is identically zero
-    noise_floor = 1e-12 * max(1.0, grid.k_max * lp_norm(F, 2))
-    if rhs_norm <= noise_floor:
-        zero = ScalarField.zero(grid)
-        return PressureSolution(zero, VectorField((zero, zero)), 1, rhs_norm, (rhs_norm,))
+    if rhs_norm <= 1e-12 * max(1.0, work.grid.k_max * f_norm):
+        for x in (pi, *flux):
+            x.fill(0.0)
+        return 1, rhs_norm, (rhs_norm,)
 
-    # preconditioned conjugate gradients on the Parseval inner product, from
-    # the guess or the preconditioned source; res = -div(a grad Pi) - rhs and
-    # the flux of Pi are updated recursively, one operator evaluation per
-    # iteration. A constant coefficient a makes the operator diagonal and the
-    # cold start exact (no guess is read), so the first evaluation returns.
-    precondition = preconditioner(rho, bounds)
-    if initial_guess is None or bounds.uniform:
-        pi_hat = precondition(rhs_hat)
+    z = work.spectrum("z")
+    if not guessed:
+        _precondition(res, pi, bounds, s, work)
     else:
         # the inverse transform reads only the Hermitian part of the
         # self-conjugate column k_y = 0 (column n/2 is masked): the rest would
         # pass through the iteration unseen into pi.spectrum
-        pi_hat = initial_guess.spectrum * t.dealias_mask
-        col = pi_hat[:, 0]
-        pi_hat[:, 0] = 0.5 * (col + np.conj(np.roll(col[::-1], 1)))
-    res_hat, *flux = operator_residual(a, pi_hat, rhs_hat, grid)
-    del rhs_hat  # the residual is updated without it from here on: peak memory
+        col = pi[:, 0]
+        pi[:, 0] = 0.5 * (col + np.conj(np.roll(col[::-1], 1)))
+    np.subtract(_operator(a, pi, z, flux, work), res, out=res)
     iterations = 1
-    residual = _parseval_l2(res_hat) / rhs_norm
+    residual = _parseval_l2(res) / rhs_norm
     history = [residual]
-    p_hat, rz = 0.0, 1.0  # a scalar zero: the first search direction is z
+    p, rz = None, 1.0  # with p = 0, the first search direction is z
     while not residual <= params.tol:  # a NaN residual fails too
         if iterations >= params.max_iter:
             raise PressureSolveError(
@@ -229,27 +305,25 @@ def solve_pressure(
                 residual=residual,
                 iterations=iterations,
             )
-        z_hat = precondition(res_hat)
-        rz_old, rz = rz, _parseval_dot(res_hat, z_hat)
-        p_hat *= rz / rz_old
-        p_hat += z_hat
-        del z_hat
-        ap_hat, *flux_p = operator_residual(a, p_hat, 0.0, grid)
-        step = -rz / _parseval_dot(p_hat, ap_hat)
-        for x, dx in zip((res_hat, *flux), (ap_hat, *flux_p)):
+        if p is None:  # the buffers of the loop, which a diagonal solve never enters
+            p, flux_p = work.spectrum("search"), (work.spectrum("flux_p_x"), work.spectrum("flux_p_y"))
+            p.fill(0.0)
+        _precondition(res, z, bounds, s, work)
+        rz_old, rz = rz, _parseval_dot(res, z)
+        p *= rz / rz_old
+        p += z
+        ap = _operator(a, p, z, flux_p, work)
+        step = -rz / _parseval_dot(p, ap)
+        for x, dx in zip((res, *flux), (ap, *flux_p)):
             dx *= step
             x += dx
-        del ap_hat, flux_p, dx  # free before the next evaluation: peak memory
-        pi_hat += step * p_hat
+        pi += np.multiply(p, step, out=z)
         iterations += 1
-        residual = _parseval_l2(res_hat) / rhs_norm
+        residual = _parseval_l2(res) / rhs_norm
         history.append(residual)
 
-    del a, res_hat, p_hat  # free before the outputs are built: peak memory
-    pi_hat.flat[0] = 0.0  # zero-mean gauge; pi_hat is always a fresh array here
-    pi = ScalarField(grid, spectrum=pi_hat)
-    accel = VectorField(ScalarField(grid, spectrum=f) for f in flux)
-    return PressureSolution(pi, accel, iterations, residual, tuple(history))
+    pi.flat[0] = 0.0  # zero-mean gauge
+    return iterations, residual, tuple(history)
 
 
 def lax_milgram_check(rho: ScalarField, F: VectorField, grad_pi: VectorField) -> float:

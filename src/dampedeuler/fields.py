@@ -12,9 +12,17 @@ measure (grid averages), so the L^p norm of a constant c equals |c| at every
 resolution; the Parseval sum behind L^2 norms and inner products makes no
 BLAS call.
 
-Fields are immutable snapshots: every operation returns a new field that owns
-its arrays, marked read-only (from_values and from_spectrum copy the caller's
-array), so fields are safe to share across threads.
+Each operator is an array kernel (a private function such as _advect) that
+writes its result into a given buffer, through the transform pair
+_fftn/_ifftn_real with out=, and takes its scratch arrays from a Workspace by
+name. The field functions are thin wrappers over these kernels; so is the
+stepper of dynamics, which keeps one Workspace for a whole run.
+
+Ownership: every array a ScalarField holds is its own and read-only (the
+constructor freezes what it is given; from_values and from_spectrum copy the
+caller's array), so fields are immutable snapshots, safe to share across
+threads. A workspace's buffers belong to its owner and never become a
+field's: a field-API call makes its own workspace and returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -142,17 +150,51 @@ def _half_tables(grid: GridSpec) -> SpectralTables:
     return _tables_for(grid.n, grid.n // 2 + 1)
 
 
-def _fftn(values: np.ndarray) -> np.ndarray:
-    """Half spectrum of real grid samples; every transform in the package goes
-    through this pair, which looks numpy.fft up at call time."""
-    return np.fft.rfftn(values)
+def _fftn(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectrum of real grid samples, written into out when it is given
+    (numpy makes the same calls either way, so the bits are the same); every
+    transform in the package goes through this pair, which looks numpy.fft up
+    at call time."""
+    return np.fft.rfftn(values, out=out)
 
 
-def _ifftn_real(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse of _fftn: the real samples of a half spectrum. Columns 0 and
-    n/2 are read as self-conjugate (see hermitian_defect)."""
+def _ifftn_real(spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of _fftn: the real samples of a half spectrum, written into out
+    when it is given. Columns 0 and n/2 are read as self-conjugate (see
+    hermitian_defect)."""
     n = spectrum.shape[0]
-    return np.fft.irfftn(spectrum, s=(n, n), axes=(0, 1))
+    return np.fft.irfftn(spectrum, s=(n, n), axes=(0, 1), out=out)
+
+
+def _uniform(values: np.ndarray) -> bool:
+    """Whether every sample is equal: an exact test with no tolerance (a NaN
+    fails it). The one test of a constant density, read by
+    elliptic.coefficient_bounds and dynamics.density_rhs."""
+    return bool(values.min() == values.max())
+
+
+class Workspace:
+    """Scratch arrays of one grid for the array kernels: each half spectrum or
+    sample array is allocated on the first request of its name and handed out
+    again on every later one. The kernels document which names they write, so
+    that a caller can keep its own data in other buffers."""
+
+    __slots__ = ("grid", "tables", "_arrays")
+
+    def __init__(self, grid: GridSpec):
+        self.grid, self.tables, self._arrays = grid, _half_tables(grid), {}
+
+    def spectrum(self, name: str) -> np.ndarray:
+        return self._get(name, (self.grid.n, self.grid.n // 2 + 1), complex)
+
+    def samples(self, name: str) -> np.ndarray:
+        return self._get(name, self.grid.shape, float)
+
+    def _get(self, name: str, shape: tuple[int, int], dtype) -> np.ndarray:
+        key = (name, dtype)
+        if key not in self._arrays:
+            self._arrays[key] = np.empty(shape, dtype)
+        return self._arrays[key]
 
 
 def _parseval_dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -308,9 +350,10 @@ class VectorField:
         """Pointwise Euclidean length. The components are scaled by a power
         of two near their largest size, which is exact, so the squares
         overflow only where the length does; np.hypot does the same at
-        several times the cost."""
+        several times the cost. For a subnormal largest size the exponent
+        stops at sys.float_info.min_exp, so that the scale stays finite."""
         vx, vy = (c.values for c in self.components)
-        e = math.frexp(max(vx.max(), -vx.min(), vy.max(), -vy.min()))[1]
+        e = max(math.frexp(max(vx.max(), -vx.min(), vy.max(), -vy.min()))[1], sys.float_info.min_exp)
         s = math.ldexp(1.0, -e)
         return np.ldexp(np.sqrt((vx * s) ** 2 + (vy * s) ** 2), e)
 
@@ -366,9 +409,8 @@ def gradient(f: ScalarField) -> VectorField:
 
 
 def divergence(v: VectorField) -> ScalarField:
-    t = _half_tables(v.grid)
-    spec = t.ddx * v.components[0].spectrum + t.ddy * v.components[1].spectrum
-    return ScalarField(v.grid, spectrum=spec)
+    vx, vy = (c.spectrum for c in v.components)
+    return ScalarField(v.grid, spectrum=_divergence(vx, vy, _new_spectrum(v.grid), Workspace(v.grid)))
 
 
 def curl2d(v: VectorField) -> ScalarField:
@@ -390,12 +432,9 @@ def leray_project(v: VectorField) -> VectorField:
     The scalar potential is inverted with the zero-mean convention, so the
     grid mean of v is preserved.
     """
-    t = _half_tables(v.grid)
-    vx_hat = v.components[0].spectrum
-    vy_hat = v.components[1].spectrum
-    helm = (t.kx * vx_hat + t.ky * vy_hat) * t.inv_neg_lap
-    return VectorField((ScalarField(v.grid, spectrum=vx_hat - t.kx * helm),
-                        ScalarField(v.grid, spectrum=vy_hat - t.ky * helm)))
+    out = (_new_spectrum(v.grid), _new_spectrum(v.grid))
+    _leray_project(*(c.spectrum for c in v.components), *out, Workspace(v.grid))
+    return VectorField(ScalarField(v.grid, spectrum=o) for o in out)
 
 
 def lp_norm(f: Field, p: float) -> float:
@@ -431,7 +470,7 @@ def dealias(f: Field) -> Field:
 
 def dealiased_product(f: ScalarField, g: ScalarField) -> ScalarField:
     """Pointwise product truncated with the 2/3 rule."""
-    return dealias(ScalarField(f.grid, values=f.values * g.values))
+    return ScalarField(f.grid, spectrum=_product(f.values, g.values, _new_spectrum(f.grid), Workspace(f.grid)))
 
 
 def scale_vector(v: VectorField, f: ScalarField) -> VectorField:
@@ -441,12 +480,8 @@ def scale_vector(v: VectorField, f: ScalarField) -> VectorField:
 
 def advect(u: VectorField, f: ScalarField) -> ScalarField:
     """Transport term u . grad(f), dealiased."""
-    gx, gy = gradient(f).components
-    conv = (
-        u.components[0].values * gx.values
-        + u.components[1].values * gy.values
-    )
-    return dealias(ScalarField(f.grid, values=conv))
+    ux, uy = (c.values for c in u.components)
+    return ScalarField(f.grid, spectrum=_advect(ux, uy, f.spectrum, _new_spectrum(f.grid), Workspace(f.grid)))
 
 
 def self_advection(u: VectorField) -> VectorField:
@@ -454,11 +489,82 @@ def self_advection(u: VectorField) -> VectorField:
     form div(u (x) u): the three dealiased products ux^2, ux uy, uy^2 cost 3
     forward transforms, where the convective form costs 4 inverse and 2
     forward. The two forms differ by u div(u), so u must be solenoidal."""
-    ux, uy = u.components
-    xx, xy, yy = (dealiased_product(a, b) for a, b in ((ux, ux), (ux, uy), (uy, uy)))
-    return VectorField((divergence(VectorField((xx, xy))), divergence(VectorField((xy, yy)))))
+    ux, uy = (c.values for c in u.components)
+    return VectorField(ScalarField(u.grid, spectrum=f.copy()) for f in _self_advection(ux, uy, Workspace(u.grid)))
 
 
 def grad_inf(v: VectorField) -> float:
     """Sup norm of the Jacobian: max over components of |grad v_i|."""
     return max(lp_norm(gradient(c), math.inf) for c in v.components)
+
+
+# ---------------------------------------------------------------------------
+# array kernels: half spectra and samples in, results written into the
+# buffers given; scratch comes from the workspace under the names each
+# kernel lists. An output may not be a buffer that the kernel writes as
+# scratch, nor an input unless the kernel says so.
+
+
+def _new_spectrum(grid: GridSpec) -> np.ndarray:
+    return np.empty((grid.n, grid.n // 2 + 1), complex)
+
+
+def _product(f: np.ndarray, g: np.ndarray, out: np.ndarray, work: Workspace) -> np.ndarray:
+    """Half spectrum of the 2/3-truncated product of the samples f and g,
+    into out; writes the "product" samples."""
+    _fftn(np.multiply(f, g, out=work.samples("product")), out=out)
+    out *= work.tables.dealias_mask
+    return out
+
+
+def _divergence(vx: np.ndarray, vy: np.ndarray, out: np.ndarray, work: Workspace) -> np.ndarray:
+    """Half spectrum of div v from the half spectra of v, into out (which may
+    be vx); writes the "scratch" spectrum."""
+    t = work.tables
+    np.multiply(t.ddx, vx, out=out)
+    out += np.multiply(t.ddy, vy, out=work.spectrum("scratch"))
+    return out
+
+
+def _leray_project(vx: np.ndarray, vy: np.ndarray, out_x: np.ndarray, out_y: np.ndarray,
+                   work: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Half spectra of the divergence-free part of v, into out_x and out_y;
+    writes the "scratch" spectrum."""
+    t = work.tables
+    helm = np.multiply(t.kx, vx, out=out_y)
+    helm += np.multiply(t.ky, vy, out=work.spectrum("scratch"))
+    helm *= t.inv_neg_lap
+    np.subtract(vx, np.multiply(t.kx, helm, out=work.spectrum("scratch")), out=out_x)
+    np.subtract(vy, np.multiply(t.ky, helm, out=work.spectrum("scratch")), out=out_y)
+    return out_x, out_y
+
+
+def _advect(ux: np.ndarray, uy: np.ndarray, f: np.ndarray, out: np.ndarray, work: Workspace) -> np.ndarray:
+    """Half spectrum of u . grad f, dealiased, from the samples ux, uy and the
+    half spectrum f, into out (which may be f); writes the "scratch" spectrum
+    and the "product" and "gradient" samples."""
+    t = work.tables
+    gx = _ifftn_real(np.multiply(f, t.ddx, out=work.spectrum("scratch")), out=work.samples("product"))
+    gy = _ifftn_real(np.multiply(f, t.ddy, out=work.spectrum("scratch")), out=work.samples("gradient"))
+    np.multiply(ux, gx, out=gx)
+    gx += np.multiply(uy, gy, out=gy)
+    _fftn(gx, out=out)
+    out *= t.dealias_mask
+    return out
+
+
+def _self_advection(ux: np.ndarray, uy: np.ndarray, work: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Half spectra of (u . grad) u in flux form, dealiased, from the samples
+    of a divergence-free u (self_advection); returned in the "flux_x" and
+    "flux_y" spectra. Writes the "scratch" spectrum and "product" samples."""
+    t = work.tables
+    fx, fy, yy = work.spectrum("flux_x"), work.spectrum("flux_y"), work.spectrum("scratch")
+    _product(ux, ux, fx, work)
+    _product(ux, uy, fy, work)
+    np.multiply(t.ddx, fx, out=fx)
+    fx += np.multiply(t.ddy, fy, out=yy)  # div(xx, xy)
+    _product(uy, uy, yy, work)
+    np.multiply(t.ddy, yy, out=yy)
+    np.multiply(t.ddx, fy, out=fy)
+    fy += yy  # div(xy, yy)
+    return fx, fy

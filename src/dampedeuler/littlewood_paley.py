@@ -162,6 +162,14 @@ def low_cutoff(bank: DyadicFilterBank, f: Field, j: int):
     return apply_multiplier(f, mult)
 
 
+def _pow2(x: float) -> float:
+    """2^x, or inf where that overflows (a record then names the column)."""
+    try:
+        return 2.0**x
+    except OverflowError:
+        return math.inf
+
+
 def besov_norms(bank: DyadicFilterBank, f: Field, indices) -> tuple[float, ...]:
     """besov_norm of f for each index, from one pass over the blocks of f:
     each block is formed once and every index reads its L^p norm from it."""
@@ -173,7 +181,7 @@ def besov_norms(bank: DyadicFilterBank, f: Field, indices) -> tuple[float, ...]:
         norms = {p: lp_norm(block, p) for p in ps}
         del block  # free before the next block is formed: peak memory
         for idx, t in zip(indices, terms):
-            t.append(2.0 ** (j * idx.s) * norms[idx.p])
+            t.append(_pow2(j * idx.s) * norms[idx.p])
     out = []
     for idx, t in zip(indices, terms):
         if math.isinf(idx.r):

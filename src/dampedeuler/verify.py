@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -103,7 +104,7 @@ def check_bernstein(ns=(64,), seed: int = 0) -> CheckResult:
     ratios = [r for n in ns for (_, _, r) in bernstein_ratios(n, seed)]
     ok = all(1.0 / 8.0 <= r <= 8.0 for r in ratios)
     return CheckResult(
-        "bernstein_ratios",
+        "bernstein",
         ok,
         f"range [{min(ratios):.3f}, {max(ratios):.3f}] over N in {tuple(ns)}",
     )
@@ -123,7 +124,7 @@ def check_lax_milgram(n: int = 32, instances: int = 10, seed: int = 0) -> CheckR
         sol = elliptic.solve_pressure(rho, F)
         worst = max(worst, elliptic.lax_milgram_check(rho, F, sol.grad_pi))
     return CheckResult(
-        "lax_milgram_bound",
+        "lax_milgram",
         worst <= 1.0 + 1e-8,
         f"worst ratio over {instances} solves = {worst:.12f}",
     )
@@ -239,25 +240,32 @@ def check_time_convergence(n: int = 32, contrast: float = 4.0, gamma: int = 0) -
 
 
 def run_verification(level: str = "quick") -> list[CheckResult]:
-    """Run the checks of one level, each timed into its CheckResult.seconds."""
+    """Run the checks of one level, each timed into its CheckResult.seconds.
+    A check that raises fails: its result, named after the check function
+    as every result is, names the exception."""
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     checks = [
-        lambda: check_partition_of_unity(64),
-        lambda: check_bony_identity(64, pairs=100),
-        lambda: check_bernstein((64,)),
-        lambda: check_lax_milgram(32, instances=10),
-        check_tg_regression,
-        check_energy_balance,
+        partial(check_partition_of_unity, 64),
+        partial(check_bony_identity, 64, pairs=100),
+        partial(check_bernstein, (64,)),
+        partial(check_lax_milgram, 32, instances=10),
+        partial(check_tg_regression),
+        partial(check_energy_balance),
     ]
     if level == "full":
-        checks.append(lambda: check_partition_of_unity(128))
-        checks.append(lambda: check_bernstein((64, 128)))
-        checks.extend(lambda c=c: check_dense_elliptic_oracle(16, contrast=c) for c in (1.5, 10.0, 100.0, 1000.0))
-        checks.extend(lambda c=c, g=g: check_time_convergence(32, contrast=c, gamma=g)
+        checks.append(partial(check_partition_of_unity, 128))
+        checks.append(partial(check_bernstein, (64, 128)))
+        checks.extend(partial(check_dense_elliptic_oracle, 16, contrast=c) for c in (1.5, 10.0, 100.0, 1000.0))
+        checks.extend(partial(check_time_convergence, 32, contrast=c, gamma=g)
                       for c in (4.0, 100.0) for g in (0, 1))
     results = []
     for check in checks:
         start = time.perf_counter()
-        results.append(replace(check(), seconds=time.perf_counter() - start))
+        try:
+            result = check()
+        except Exception as exc:  # a failing check, not a crash of the suite
+            name = check.func.__name__.removeprefix("check_")
+            result = CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
+        results.append(replace(result, seconds=time.perf_counter() - start))
     return results

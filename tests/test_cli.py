@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -261,6 +262,51 @@ class TestVerifyCommand:
         )
         assert main(["verify"]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+    def test_raising_check_is_a_fail_line(self, monkeypatch, capsys):
+        from dampedeuler import verify
+        from dampedeuler.elliptic import PressureSolveError
+
+        def passing(*args, **kwargs):
+            return verify.CheckResult("stub", True, "stubbed")
+
+        @functools.wraps(verify.check_lax_milgram)  # a stand-in under the check's own name
+        def raising(*args, **kwargs):
+            raise PressureSolveError("pressure solve stalled", residual=1.0, iterations=500)
+
+        for name in [n for n in vars(verify) if n.startswith("check_")]:
+            monkeypatch.setattr(verify, name, passing)
+        monkeypatch.setattr(verify, "check_lax_milgram", raising)
+        assert main(["verify"]) == 3
+        out = capsys.readouterr().out
+        assert re.search(r"^lax_milgram +FAIL .* raised PressureSolveError: pressure solve stalled$", out, re.M), out
+
+
+class TestCrashesFoundByFuzzing:
+    """Minimal configs on which run or check used to end in a traceback."""
+
+    def test_subnormal_velocity_runs(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, grid={"n": 16}, time={"dt": 0.01, "t_end": 0.02, "record_every": 1},
+                     ic={"u_preset": "swirl", "u_params": {"amplitude": 1e-310}})
+        assert main(["check", "--config", str(cfg)]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    def test_overflowing_step_count_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, grid={"n": 16}, time={"dt": 1e-12, "t_end": 1e300})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error: time.t_end: ")
+
+    def test_overflowing_besov_weight_aborts_naming_its_column(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, grid={"n": 16}, time={"dt": 0.01, "t_end": 0.02, "record_every": 1},
+                     track={"besov_indices": [[2000, 2, 1]]})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert not summary["completed"]
+        assert "besov_u_0 = inf" in summary["failure"]
 
 
 class TestSweepCommand:

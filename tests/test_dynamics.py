@@ -1,11 +1,13 @@
 import copy
 import math
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from dampedeuler import dynamics
+from dampedeuler.config import build_sim_config, resolve_config
 from dampedeuler.diagnostics import beta0, energy_balance_residual, make_record
 from dampedeuler.dynamics import (
     FluidState,
@@ -44,7 +46,7 @@ from dampedeuler.fields import (
 from dampedeuler.littlewood_paley import build_filter_bank
 from dampedeuler.verify import check_time_convergence
 
-from conftest import fd_gradient6
+from conftest import bump_run_doc, fd_gradient6
 
 
 def tg_config(alpha=0.5, gamma=1, n=64, dt=1e-3, t_end=1.0, amplitude=1.0, **kw):
@@ -236,6 +238,33 @@ class TestTransformCount:
         state = initial_state(cfg)
         state = stepper.step(state, stepper.tendency(state))
         assert self.transforms(monkeypatch, lambda: stepper.step(state, stepper.tendency(state))) == 22
+
+
+class TestStepAllocations:
+    """A run-loop step works in its stepper's workspace. At n = 64 it
+    allocates about six half spectra at its peak: the velocity spectra and
+    the density spectrum and samples of the state it returns, a solve's
+    potential, and an inverse transform's internal array."""
+
+    @pytest.mark.parametrize("doc", [
+        {"physics": {"alpha": 0.5, "gamma": 1}, "grid": {"n": 64}, "time": {"dt": 1e-3, "t_end": 1.0}},
+        bump_run_doc(3.0),
+    ], ids=["uniform", "bump_contrast4"])
+    def test_peak_is_a_few_half_spectra(self, doc):
+        cfg = build_sim_config(resolve_config(doc))
+        stepper = _Stepper(cfg)
+        state = initial_state(cfg)
+        for _ in range(3):  # the workspace and the guess history are built
+            state = stepper.step(state, stepper.tendency(state))
+        k1 = stepper.tendency(state)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stepper.step(state, k1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 64 * 33 * 16
 
 
 class TestConstantDensityIsNotTransported:

@@ -233,6 +233,16 @@ class TestPreconditioner:
         assert not coefficient_bounds(near).uniform
         assert coefficient_bounds(ScalarField.constant(grid64, 1.3)).uniform
 
+    def test_adjacent_doubles_with_equal_reciprocals_are_not_uniform(self, grid64):
+        # uniform reads the density samples, as dynamics.density_rhs does:
+        # a_star == a_upper would call this density constant
+        lo = 1.5000000000000002
+        hi = np.nextafter(lo, 2.0)
+        assert 1.0 / lo == 1.0 / hi
+        values = np.full(grid64.shape, lo)
+        values[5, 9] = hi
+        assert not coefficient_bounds(ScalarField.from_values(grid64, values)).uniform
+
     def test_concus_golub_is_self_adjoint_and_positive(self, grid64):
         rho = cosine_density(grid64, 9.0 / 11.0)  # contrast 10
         bounds = coefficient_bounds(rho)

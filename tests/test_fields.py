@@ -10,7 +10,9 @@ from dampedeuler.fields import (
     GridSpec,
     ScalarField,
     VectorField,
+    _fftn,
     _half_tables,
+    _ifftn_real,
     _parseval_dot,
     advect,
     apply_multiplier,
@@ -348,6 +350,26 @@ class TestMagnitude:
         vx, vy = (size * rng.standard_normal(grid64.shape) for _ in range(2))
         mag = VectorField.from_arrays(grid64, vx, vy).magnitude()
         np.testing.assert_allclose(mag, np.hypot(vx, vy), rtol=1e-15, atol=0.0)
+
+    def test_subnormal_components(self, grid64):
+        # the scale of the largest component, 2^1029 here, would overflow
+        x, y = grid64.nodes()
+        vx, vy = -1e-310 * np.sin(y), 1e-310 * np.sin(x)
+        mag = VectorField.from_arrays(grid64, vx, vy).magnitude()
+        np.testing.assert_allclose(mag, np.hypot(vx, vy), rtol=1e-4, atol=0.0)
+
+
+class TestTransformsIntoBuffers:
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_out_is_returned_bitwise_equal_to_the_allocating_call(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, n))
+        spectrum = np.empty((n, n // 2 + 1), complex)
+        assert _fftn(x, out=spectrum) is spectrum
+        assert spectrum.tobytes() == _fftn(x).tobytes()
+        samples = np.empty((n, n))
+        assert _ifftn_real(spectrum, out=samples) is samples
+        assert samples.tobytes() == _ifftn_real(spectrum).tobytes()
 
 
 class TestDealias:
