@@ -10,10 +10,11 @@ with the pressure gradient recovered each stage from the elliptic solve that
 keeps the tendency divergence-free. Stepping is explicit RK4 with a Leray
 projection after each accepted step; damping is integrated inside the
 tendency (it is not stiff for the coefficient sizes of interest). A run's
-stepper (_Stepper) works on half spectra in buffers that it allocates once,
-and starts each pressure solve from the last potential solved plus the
-increment that the same RK4 stage added in the earlier steps, extrapolated;
-a state's first stage gives both its record's grad Pi and its step.
+stepper (_Stepper) works on the spectra of the modes that the 2/3 rule
+retains, in buffers that it allocates once, and starts each pressure solve
+from the last potential solved plus the increment that the same RK4 stage
+added in the earlier steps, extrapolated; a state's first stage gives both
+its record's grad Pi and its step.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .fields import (
     VectorField,
     Workspace,
     _divergence,
-    _fftn,
-    _ifftn_real,
     _leray_project,
     _new_spectrum,
     _number,
@@ -256,10 +255,10 @@ def initial_state(config: SimConfig) -> FluidState:
 
 
 def _forcing(ux, uy, u_hat, rho, config: SimConfig, out, work: Workspace):
-    """F = u . grad u + alpha rho^(gamma-1) u, dealiased, into the pair of half
-    spectra out (which may be u_hat), from the samples ux, uy and the half
-    spectra u_hat of a dealiased velocity and the density samples rho; u_hat
-    is read as dealias(u). Writes the "coefficient" samples at gamma = 0,
+    """F = u . grad u + alpha rho^(gamma-1) u, dealiased, into the pair of
+    spectra out on work's lattice (which may be u_hat), from the samples
+    ux, uy and the spectra u_hat of a dealiased velocity and the density
+    samples rho; u_hat is read as dealias(u). Writes the "coefficient" samples at gamma = 0,
     and the scratch of fields._self_advection."""
     if config.gamma == 1:
         for u, f in zip(u_hat, out):
@@ -303,7 +302,8 @@ def momentum_rhs(state: FluidState, config: SimConfig) -> VectorField:
     """Velocity tendency -u . grad u - (1/rho) grad Pi - alpha rho^(gamma-1) u."""
     stepper = _Stepper(config)
     stepper.tendency(state)
-    return VectorField(ScalarField(config.grid, spectrum=stepper.work.spectrum(f"k1_{c}").copy())
+    work = stepper.work
+    return VectorField(ScalarField(config.grid, spectrum=work.scatter(work.spectrum(f"k1_{c}")))
                        for c in ("u_x", "u_y"))
 
 
@@ -376,7 +376,7 @@ def _step_count(t_end: float, dt: float, record_every: int) -> int:
 
 
 def _rk4(evaluate, t: float, a: tuple, dt: float, k: tuple, y: tuple, scratch: np.ndarray) -> None:
-    """One classical RK4 step of dy/dt = f(t, y) over a tuple a of half
+    """One classical RK4 step of dy/dt = f(t, y) over a tuple a of
     spectra, in place. On entry k holds the first stage f(t, a); on return
     it holds the new y, before any truncation. y is scratch of the same
     shape: evaluate(stage, t_s) reads the state of stage 2, 3 or 4 from y
@@ -399,10 +399,12 @@ def _rk4(evaluate, t: float, a: tuple, dt: float, k: tuple, y: tuple, scratch: n
         np.add(x, ks, out=ks)
 
 
-def _check_invariants(state: FluidState, work: Workspace | None = None) -> None:
+def _check_invariants(state: FluidState, work: Workspace | None = None, u_hat: tuple | None = None) -> None:
     """Abort on a density outside its initial bounds (to DENSITY_DRIFT_TOL),
     a non-finite state, or a divergence above DIV_DRIFT_TOL * |u|; the
-    divergence is formed in work's "residual" spectrum."""
+    divergence is formed in work's "residual" spectrum from u_hat, the
+    velocity's spectra on work's lattice (without work, the state's half
+    spectra)."""
     lo, hi = state.rho_bounds
     rho_min = float(state.rho.values.min())
     rho_max = float(state.rho.values.max())
@@ -418,10 +420,10 @@ def _check_invariants(state: FluidState, work: Workspace | None = None) -> None:
             f"density maximum drifted above its initial bound: "
             f"{rho_max:.12g} > {hi:.12g} at t = {state.t:.6g}"
         )
-    work = Workspace(state.u.grid) if work is None else work
+    if work is None:
+        work, u_hat = Workspace(state.u.grid), tuple(c.spectrum for c in state.u.components)
     u_norm = lp_norm(state.u, 2)
-    div_norm = _parseval_l2(_divergence(*(c.spectrum for c in state.u.components),
-                                        work.spectrum("residual"), work))
+    div_norm = _parseval_l2(_divergence(*u_hat, work.spectrum("residual"), work))
     if not (math.isfinite(u_norm) and math.isfinite(div_norm)):
         raise InvariantViolation(f"velocity not finite at t = {state.t:.6g}")
     if div_norm > DIV_DRIFT_TOL * max(u_norm, 1e-300):
@@ -449,15 +451,21 @@ def _checked_record(state: FluidState, config: SimConfig, bank,
 class _Stepper:
     """A run's stepping context.
 
-    It owns a Workspace (fields) that holds, for the whole run, the half
-    spectra of the RK4 stages and the scratch of every kernel that a stage
-    calls: the stage state, the flux-form products, the damping, the density
-    transport, the whole pressure solve and the RK4 sum. So a step allocates
-    only the arrays of the state it returns, the samples that its first
-    stage caches on the state it starts from, and each solve's potential;
-    every one of those is owned by its field. The buffers never leave the
+    It owns a Workspace (fields) on the retained lattice of the 2/3 rule,
+    (2 k_max + 1, k_max + 1), that holds for the whole run the spectra of
+    the RK4 stages and the scratch of every kernel that a stage calls: the
+    stage state, the flux-form products, the damping, the density
+    transport, the whole pressure solve and the RK4 sum. Its first stage
+    gathers the retained modes of the state's spectra; of a state's spectra
+    the stepper reads only those, and its samples as they are. step
+    scatters the spectra of the state it returns, and each solve returns
+    its potential, back into half-lattice fields. So a step allocates only
+    the arrays of the state it returns, the samples that its first stage
+    caches on the state it starts from, and each solve's potential; every
+    one of those is owned by its field. The buffers never leave the
     stepper. At a constant density (fields._uniform) the density keeps the
-    state's own arrays at every stage and its zero tendency is not formed.
+    state's own field at every stage and in the state returned, and its
+    zero tendency is not formed.
 
     Each pressure solve starts from a guess (the converged potential does
     not depend on it) built from pi, the last potential solved: by a
@@ -465,70 +473,79 @@ class _Stepper:
     stage, the stage before. Stage s of step m starts from
     pi + 2 D_s(m-1) - D_s(m-2), where D_s(k) is the increment that stage s
     added to pi in step k; with one earlier step from pi + D_s(m-1), and
-    before that from pi. The increments are kept only while the solve reads
-    its guess, which it never does at uniform density. solves, iterations
-    and max_iterations count the converged solves."""
+    before that from pi. The guess and the increments stay on the retained
+    lattice, and are kept only while the solve reads its guess, which it
+    never does at uniform density. solves, iterations and max_iterations
+    count the converged solves."""
 
     def __init__(self, config: SimConfig):
         self.config, self.pi = config, None
-        self.work = Workspace(config.grid)
+        self.work = Workspace(config.grid, retained=True)
         self.increments = {}  # stage -> work spectra (D_s(m-1), D_s(m-2) or None)
         self.solves = self.iterations = self.max_iterations = 0
         self.uniform = False  # the density of the state last given to tendency is constant
         self.first_stage_of = None  # that state, whose first stage the "k1" spectra hold
 
     def _spectra(self, kind: str) -> tuple:
-        """The work spectra of kind "k1" or "stage": (rho, u_x, u_y), without
-        rho at a constant density."""
+        """The work spectra of kind "state", "k1" or "stage": (rho, u_x, u_y),
+        without rho at a constant density."""
         names = ("u_x", "u_y") if self.uniform else ("rho", "u_x", "u_y")
         return tuple(self.work.spectrum(f"{kind}_{name}") for name in names)
 
     def guess(self, stage: int) -> np.ndarray | None:
-        """The initial guess of the solve of RK4 stage 1..4, a fresh half
-        spectrum, which the solve keeps as its potential's array."""
+        """The initial guess of the solve of RK4 stage 1..4, in work's
+        "potential" spectrum, from the retained modes of pi, which it
+        gathers into "last_potential"; None before the first solve."""
         if self.pi is None:
             return None
-        if stage not in self.increments:
-            return self.pi.spectrum.copy()
-        last, before = self.increments[stage]
-        if before is None:
-            return np.add(self.pi.spectrum, last)
-        shift = np.multiply(last, 2.0, out=_new_spectrum(self.config.grid))
-        shift -= before
-        return np.add(self.pi.spectrum, shift, out=shift)
+        work = self.work
+        pi, guess = work.gather(self.pi.spectrum, work.spectrum("last_potential")), work.spectrum("potential")
+        last, before = self.increments.get(stage, (None, None))
+        if last is None:
+            np.copyto(guess, pi)
+        elif before is None:
+            np.add(pi, last, out=guess)
+        else:
+            np.multiply(last, 2.0, out=guess)
+            guess -= before
+            np.add(pi, guess, out=guess)
+        return guess
 
     def _evaluate(self, stage: int, t: float, state: FluidState) -> None:
-        """(d_t rho, d_t u) of RK4 stage 1..4 at time t. Stage 1 reads state
-        and writes the "k1" spectra; a later stage reads its stage state from
-        the "stage" spectra and writes its tendency over it. The solve starts
-        from guess(stage) and leaves the new potential in pi."""
+        """(d_t rho, d_t u) of RK4 stage 1..4 at time t. Stage 1 reads state,
+        gathers its spectra into the "state" spectra and writes the "k1"
+        spectra; a later stage reads its stage state from the "stage"
+        spectra and writes its tendency over it. The solve starts from
+        guess(stage) and leaves the new potential in pi."""
         work = self.work
         if stage == 1 or self.uniform:
             rho = state.rho.values
         else:
-            rho = _ifftn_real(work.spectrum("stage_rho"), out=work.samples("density"))
+            rho = work.inverse(work.spectrum("stage_rho"), work.samples("density"))
         try:
             bounds = coefficient_bounds(rho)
         except ValueError as exc:
             raise InvariantViolation(f"stage {exc} at t = {t:.6g}") from None
         if stage == 1:
             self.uniform = bounds.uniform
-            out = self._spectra("k1")
-            rho_hat = None if self.uniform else state.rho.spectrum
-            u_hat = tuple(c.spectrum for c in state.u.components)
+            out, given = self._spectra("k1"), state.u.components
+            if not self.uniform:
+                given = (state.rho, *given)
+            a = tuple(work.gather(f.spectrum, x) for f, x in zip(given, self._spectra("state")))
+            rho_hat, u_hat = None if self.uniform else a[0], a[-2:]
             ux, uy = (c.values for c in state.u.components)  # cached on the state, for its record
         else:
             out = self._spectra("stage")
             rho_hat, u_hat = None if self.uniform else out[0], out[-2:]
-            ux, uy = (_ifftn_real(u, out=work.samples(name)) for u, name in zip(u_hat, ("u_x", "u_y")))
+            ux, uy = (work.inverse(u, work.samples(name)) for u, name in zip(u_hat, ("u_x", "u_y")))
         forcing = _forcing(ux, uy, u_hat, rho, self.config, out[-2:], work)
         warm = not bounds.uniform
         sol = solve_pressure(rho, forcing, self.config.pressure,
-                             initial_guess=self.guess(stage) if warm else None, work=work)
+                             initial_guess=self.guess(stage) if warm else None, work=work, bounds=bounds)
         if warm and self.pi is not None:
             last, before = self.increments.get(stage, (None, None))
             new = before if before is not None else work.spectrum(f"increment{stage}_{last is not None:d}")
-            np.subtract(sol.pi.spectrum, self.pi.spectrum, out=new)
+            np.subtract(work.spectrum("potential"), work.spectrum("last_potential"), out=new)
             self.increments[stage] = (new, last)
         self.pi = sol.pi
         self.solves += 1
@@ -556,24 +573,19 @@ class _Stepper:
         self.first_stage_of = None  # the RK4 sum overwrites it
         cfg, work, grid = self.config, self.work, self.config.grid
         bounds = state.rho_bounds or (float(state.rho.values.min()), float(state.rho.values.max()))
-        a = tuple(c.spectrum for c in state.u.components)
-        if not self.uniform:
-            a = (state.rho.spectrum, *a)
-        k = self._spectra("k1")
-        _rk4(lambda stage, t: self._evaluate(stage, t, state), state.t, a, cfg.dt, k,
-             self._spectra("stage"), work.spectrum("scratch"))
-        mask = work.tables.dealias_mask
+        k, y = self._spectra("k1"), self._spectra("stage")
+        _rk4(lambda stage, t: self._evaluate(stage, t, state), state.t, self._spectra("state"), cfg.dt, k,
+             y, work.spectrum("scratch"))
         if self.uniform:  # the density is the state's, unchanged
-            rho_hat = _fftn(state.rho.values, out=_new_spectrum(grid))
-            rho_hat *= mask
+            rho = state.rho
         else:
-            rho_hat = np.multiply(k[0], mask, out=_new_spectrum(grid))
-        # the velocity sum is dealiased already: a sum of dealiased spectra
-        u = _leray_project(*k[-2:], _new_spectrum(grid), _new_spectrum(grid), work)
-        new = FluidState(t=state.t + cfg.dt,
-                         rho=ScalarField(grid, values=_ifftn_real(rho_hat), spectrum=rho_hat),
-                         u=VectorField(ScalarField(grid, spectrum=c) for c in u), rho_bounds=bounds)
-        _check_invariants(new, work)
+            rho = ScalarField(grid, values=work.inverse(k[0], np.empty(grid.shape)),
+                              spectrum=work.scatter(k[0]))
+        # the velocity sum holds retained modes only, so it is dealiased already
+        u = _leray_project(*k[-2:], *y[-2:], work)
+        u_new = VectorField(ScalarField(grid, spectrum=work.scatter(c)) for c in u)
+        new = FluidState(t=state.t + cfg.dt, rho=rho, u=u_new, rho_bounds=bounds)
+        _check_invariants(new, work, u)
         return new
 
     def telemetry(self) -> dict:
@@ -651,29 +663,30 @@ def solve_linear_transport(
     velocity maps t to a divergence-free VectorField; forcing maps t to a
     ScalarField (or is None). Returns [(t, f)] sampled every record_every
     steps. With g = 0 the L^2 norm is conserved up to the RK4 error. The
-    steps run on half spectra in buffers of one Workspace, with _rk4.
+    steps run with _rk4 in buffers of one Workspace on the retained lattice
+    (fields): only the retained modes of f0 and of each forcing(t) are read,
+    and the trajectory is scattered back into half-lattice fields.
     """
     n_steps = _step_count(t_end, dt, record_every)
     grid = f0.grid
-    work = Workspace(grid)
-    f = dealias(f0)
-    trajectory = [(0.0, f)]
+    work = Workspace(grid, retained=True)
+    trajectory = [(0.0, dealias(f0))]
     f_hat, k, y = (work.spectrum(name) for name in ("f", "k1", "stage"))
-    np.copyto(f_hat, f.spectrum)
+    work.gather(f0.spectrum, f_hat)
 
     def evaluate(out: np.ndarray, t: float) -> None:
-        """-v . grad f (+ g) at time t, from and into the half spectrum out."""
+        """-v . grad f (+ g) at time t, from and into the spectrum out."""
         ux, uy = (c.values for c in velocity(t).components)
         np.multiply(advect(ux, uy, out, out, work), -1.0, out=out)
         if forcing is not None:
-            out += forcing(t).spectrum
+            out += work.gather(forcing(t).spectrum, work.spectrum("forcing"))
 
     for step in range(1, n_steps + 1):
         t = (step - 1) * dt
         np.copyto(k, f_hat)
         evaluate(k, t)
         _rk4(lambda stage, t_s: evaluate(y, t_s), t, (f_hat,), dt, (k,), (y,), work.spectrum("scratch"))
-        np.multiply(k, work.tables.dealias_mask, out=f_hat)
+        f_hat, k = k, f_hat  # k holds the new f
         if step % record_every == 0 or step == n_steps:
-            trajectory.append((step * dt, ScalarField(grid, spectrum=f_hat.copy())))
+            trajectory.append((step * dt, ScalarField(grid, spectrum=work.scatter(f_hat))))
     return trajectory

@@ -5,8 +5,11 @@ spectral and the coefficient product is truncated with the 2/3 rule, which is
 exactly the operator the momentum tendency needs so that its divergence
 vanishes; the solve also returns that tendency's pressure term dealias((1/rho)
 grad Pi). Every solve is one preconditioned conjugate gradients loop, started
-from the caller's guess or else cold from the preconditioned source; the
-density contrast rho_max / rho_min picks the preconditioner:
+from the caller's guess or else cold from the preconditioned source. It runs
+on the lattice of its workspace (fields.Workspace): a field-API call on the
+half lattice, the solves of dynamics._Stepper on the retained lattice of the
+2/3 rule, where the same kernels give the same bits and the same iteration
+counts. The density contrast rho_max / rho_min picks the preconditioner:
 
 - at or below CONCUS_GOLUB_CONTRAST, the constant-coefficient inverse
   Laplacian (-abar Lap)^{-1} (midpoint coefficient abar), which costs no
@@ -51,8 +54,6 @@ from .fields import (
     VectorField,
     Workspace,
     _divergence,
-    _fftn,
-    _ifftn_real,
     _new_spectrum,
     _parseval_dot,
     _parseval_l2,
@@ -167,6 +168,7 @@ def solve_pressure(
     initial_guess: ScalarField | np.ndarray | None = None,
     *,
     work: Workspace | None = None,
+    bounds: CoefficientBounds | None = None,
 ) -> PressureSolution:
     """Solve -div((1/rho) grad Pi) = div F with the zero-mean gauge for Pi.
 
@@ -178,47 +180,52 @@ def solve_pressure(
     earlier potentials) shortens the iteration but never changes the
     converged answer; only its dealiased modes are read, and of its
     self-conjugate column k_y = 0 only the Hermitian part, which the inverse
-    transform sees. At uniform density no guess is read.
+    transform sees. At uniform density no guess is read. bounds, when
+    given, are coefficient_bounds(rho), which the caller has formed already.
 
     dynamics._Stepper passes the workspace of its run as work, and arrays in
-    place of the fields: rho the density samples, F the half spectra of a
-    dealiased forcing (so its divergence is not masked again) and
-    initial_guess None or a fresh half spectrum, which the solve masks in
-    place and keeps as the potential's array. The potential is a field all
-    the same; accel is then the pair of work's "flux_x" and "flux_y"
-    spectra, which the caller reads before the next kernel writes them.
+    place of the fields: rho the density samples, F the spectra of a
+    dealiased forcing on work's lattice (so its divergence is not masked
+    again) and initial_guess None or a spectrum on work's lattice. The solve
+    runs on work's lattice in work's "potential" spectrum, where it copies
+    the guess (the stepper writes its guess there, which saves the copy) and
+    leaves the potential's spectrum; the potential it returns is a
+    half-lattice field all the same. accel is then the pair of work's
+    "flux_x" and "flux_y" spectra, which the caller reads before the next
+    kernel writes them.
     """
     field_api = work is None
     if field_api:
         grid, work = rho.grid, Workspace(rho.grid)
         rho = rho.values
-        guess = None if initial_guess is None else initial_guess.spectrum.copy()
         f_norm = lp_norm(F, 2)
         res_hat = divergence(F).spectrum * work.tables.dealias_mask
         flux = (_new_spectrum(grid), _new_spectrum(grid))
+        pi_hat = _new_spectrum(grid)
+        if initial_guess is not None:
+            np.multiply(initial_guess.spectrum, work.tables.dealias_mask, out=pi_hat)
     else:
-        grid, guess = work.grid, initial_guess
+        grid, pi_hat = work.grid, work.spectrum("potential")
         f_norm = math.hypot(*(_parseval_l2(f) for f in F))
         res_hat = _divergence(*F, work.spectrum("residual"), work)
         flux = (work.spectrum("flux_x"), work.spectrum("flux_y"))
-    bounds = coefficient_bounds(rho)
-    if guess is None or bounds.uniform:
-        guess, pi_hat = None, _new_spectrum(grid)
-    else:
-        pi_hat = guess
-        pi_hat *= work.tables.dealias_mask
+        if initial_guess is not None and initial_guess is not pi_hat:
+            np.copyto(pi_hat, initial_guess)
+    bounds = coefficient_bounds(rho) if bounds is None else bounds
+    guessed = initial_guess is not None and not bounds.uniform
     a = bounds.a_star if bounds.uniform else np.divide(1.0, rho, out=work.samples("coefficient"))
     s = _preconditioner_samples(rho, bounds, work)
-    iterations, residual, history = _pcg(a, bounds, s, res_hat, pi_hat, flux, f_norm, params, work,
-                                         guess is not None)
+    iterations, residual, history = _pcg(a, bounds, s, res_hat, pi_hat, flux, f_norm, params, work, guessed)
     if field_api:
         flux = VectorField(ScalarField(grid, spectrum=f) for f in flux)
+    else:
+        pi_hat = work.scatter(pi_hat)
     return PressureSolution(ScalarField(grid, spectrum=pi_hat), flux, iterations, residual, history)
 
 
 # ---------------------------------------------------------------------------
-# array kernels (see fields): half spectra in, results written into the
-# buffers given
+# array kernels (see fields): spectra on the workspace's lattice in, results
+# written into the buffers given
 
 
 def _preconditioner_samples(rho: np.ndarray, bounds: CoefficientBounds, work: Workspace):
@@ -231,20 +238,17 @@ def _preconditioner_samples(rho: np.ndarray, bounds: CoefficientBounds, work: Wo
 
 
 def _precondition(r: np.ndarray, out: np.ndarray, bounds: CoefficientBounds, s, work: Workspace) -> np.ndarray:
-    """The preconditioner applied to the half spectrum r, into out; s is
+    """The preconditioner applied to the spectrum r, into out; s is
     _preconditioner_samples. Concus-Golub writes the "product" samples."""
     t = work.tables
     if s is None:
         np.multiply(r, t.inv_neg_lap, out=out)
         out /= bounds.midpoint
         return out
-    g = _ifftn_real(r, out=work.samples("product"))
-    _fftn(np.multiply(s, g, out=g), out=out)
-    out *= t.dealias_mask
-    _ifftn_real(np.multiply(out, t.inv_neg_lap, out=out), out=g)
-    _fftn(np.multiply(s, g, out=g), out=out)
-    out *= t.dealias_mask
-    return out
+    g = work.inverse(r, work.samples("product"))
+    work.forward(np.multiply(s, g, out=g), out)
+    work.inverse(np.multiply(out, t.inv_neg_lap, out=out), g)
+    return work.forward(np.multiply(s, g, out=g), out)
 
 
 def _operator(a, p: np.ndarray, out: np.ndarray, flux, work: Workspace) -> np.ndarray:
@@ -257,9 +261,8 @@ def _operator(a, p: np.ndarray, out: np.ndarray, flux, work: Workspace) -> np.nd
         if isinstance(a, float):
             f *= a
         else:
-            g = _ifftn_real(f, out=work.samples("product"))
-            _fftn(np.multiply(a, g, out=g), out=f)
-            f *= t.dealias_mask
+            g = work.inverse(f, work.samples("product"))
+            work.forward(np.multiply(a, g, out=g), f)
     return np.negative(_divergence(*flux, out, work), out=out)
 
 

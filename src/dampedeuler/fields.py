@@ -13,10 +13,16 @@ resolution; the Parseval sum behind L^2 norms and inner products makes no
 BLAS call.
 
 Each operator is an array kernel (a private function such as _advect) that
-writes its result into a given buffer, through the transform pair
-_fftn/_ifftn_real with out=, and takes its scratch arrays from a Workspace by
-name. The field functions are thin wrappers over these kernels; so is the
-stepper of dynamics, which keeps one Workspace for a whole run.
+writes its result into a given buffer, through its Workspace's transform
+pair forward/inverse, and takes its scratch arrays from that workspace by
+name. The owner of a workspace chooses its lattice, and one set of kernels
+serves both: the field functions are thin wrappers over the kernels on
+half-lattice workspaces, while the stepper of dynamics keeps one workspace
+on the retained lattice of the 2/3 rule, (2 k_max + 1, k_max + 1), for a
+whole run. There the pair prunes the axis-0 pass to the k_max + 1 retained
+columns and gathers or scatters the retained rows, so the truncation costs
+no mask multiply, and the Parseval sum pads its column sums to the half
+lattice's width, so that both lattices give the same bits.
 
 Ownership: every array a ScalarField holds is its own and read-only (the
 constructor freezes what it is given; from_values and from_spectrum copy the
@@ -100,7 +106,8 @@ class GridSpec:
 
 class SpectralTables(NamedTuple):
     """Wavenumber tables over the half lattice (n, n//2 + 1) of the spectra
-    (_half_tables); tables(grid) spans the full (n, n) lattice."""
+    (_half_tables); _retained_tables spans the retained lattice of a
+    Workspace, and tables(grid) the full (n, n) lattice."""
 
     kx: np.ndarray          # derivative wavenumber, axis 0 (Nyquist zeroed)
     ky: np.ndarray          # derivative wavenumber, axis 1 (Nyquist zeroed)
@@ -150,6 +157,19 @@ def _half_tables(grid: GridSpec) -> SpectralTables:
     return _tables_for(grid.n, grid.n // 2 + 1)
 
 
+@lru_cache(maxsize=32)
+def _retained_tables(grid: GridSpec) -> SpectralTables:
+    """The tables over the retained lattice (Workspace): the half tables at
+    rows k_x = 0..k_max, -k_max..-1 and columns k_y = 0..k_max. Its
+    dealias_mask is all True."""
+    k = grid.k_max
+    rows = np.r_[0 : k + 1, grid.n - k : grid.n]
+    retained = [np.ascontiguousarray(a[rows, : k + 1]) for a in _half_tables(grid)]
+    for arr in retained:
+        arr.setflags(write=False)
+    return SpectralTables(*retained)
+
+
 def _fftn(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Half spectrum of real grid samples, written into out when it is given
     (numpy makes the same calls either way, so the bits are the same); every
@@ -174,18 +194,33 @@ def _uniform(values: np.ndarray) -> bool:
 
 
 class Workspace:
-    """Scratch arrays of one grid for the array kernels: each half spectrum or
-    sample array is allocated on the first request of its name and handed out
-    again on every later one. The kernels document which names they write, so
-    that a caller can keep its own data in other buffers."""
+    """Scratch arrays of one grid for the array kernels, on one of two
+    lattices that its owner chooses: the half lattice (n, n//2 + 1) of the
+    fields, or the retained lattice (2 k_max + 1, k_max + 1) of the modes
+    that the 2/3 rule keeps, rows k_x = 0..k_max then -k_max..-1 and columns
+    k_y = 0..k_max. tables holds the wavenumber tables of that lattice, and
+    every kernel runs on either.
 
-    __slots__ = ("grid", "tables", "_arrays")
+    Each spectrum or sample array is allocated, zeroed, on the first request
+    of its name and handed out again on every later one. The kernels
+    document which names they write, so that a caller can keep its own data
+    in other buffers.
 
-    def __init__(self, grid: GridSpec):
-        self.grid, self.tables, self._arrays = grid, _half_tables(grid), {}
+    forward and inverse are the kernels' transform pair. On the retained
+    lattice they are the 1-D passes of rfftn/irfftn, pruned: the axis-0
+    pass runs on the k_max + 1 retained columns only, and the retained rows
+    are gathered from it (forward) or scattered into zeros for it (inverse),
+    all in buffers of the workspace. Each 1-D transform is the one that
+    rfftn/irfftn make on that line, so a retained mode has the same bits."""
+
+    __slots__ = ("grid", "retained", "tables", "_arrays")
+
+    def __init__(self, grid: GridSpec, retained: bool = False):
+        self.grid, self.retained, self._arrays = grid, retained, {}
+        self.tables = _retained_tables(grid) if retained else _half_tables(grid)
 
     def spectrum(self, name: str) -> np.ndarray:
-        return self._get(name, (self.grid.n, self.grid.n // 2 + 1), complex)
+        return self._get(name, self.tables.kx.shape, complex)
 
     def samples(self, name: str) -> np.ndarray:
         return self._get(name, self.grid.shape, float)
@@ -193,29 +228,90 @@ class Workspace:
     def _get(self, name: str, shape: tuple[int, int], dtype) -> np.ndarray:
         key = (name, dtype)
         if key not in self._arrays:
-            self._arrays[key] = np.empty(shape, dtype)
+            self._arrays[key] = np.zeros(shape, dtype)
         return self._arrays[key]
+
+    def forward(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The spectrum of the samples values truncated with the 2/3 rule,
+        into out; writes the "transform" buffer."""
+        if not self.retained:
+            _fftn(values, out=out)
+            out *= self.tables.dealias_mask
+            return out
+        n = self.grid.n
+        half = np.fft.rfft(values, axis=1, out=self._get("transform", (n, n // 2 + 1), complex))
+        cols = half[:, : self.grid.k_max + 1]
+        np.fft.fft(cols, axis=0, out=cols)
+        return self.gather(half, out)
+
+    def inverse(self, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The real samples of a spectrum, into out; writes the "transform"
+        and "scattered" buffers (the latter stays zero at every other mode).
+        irfft reads the k_max + 1 columns as the first of n//2 + 1 and pads
+        the others with zeros, as a half spectrum holds them."""
+        if not self.retained:
+            return _ifftn_real(spectrum, out=out)
+        n, c = self.grid.n, self.grid.k_max + 1
+        cols = self._get("transform", (n, n // 2 + 1), complex)[:, :c]
+        np.fft.ifft(self._scatter_rows(spectrum, self._get("scattered", (n, c), complex)), axis=0, out=cols)
+        return np.fft.irfft(cols, n, axis=1, out=out)
+
+    def gather(self, half: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The retained modes of a half spectrum, into out on the retained
+        lattice (a retained-lattice workspace only)."""
+        k = self.grid.k_max
+        out[: k + 1] = half[: k + 1, : k + 1]
+        out[k + 1:] = half[-k:, : k + 1]
+        return out
+
+    def scatter(self, spectrum: np.ndarray) -> np.ndarray:
+        """A fresh half spectrum of a retained one, zero at every other mode
+        (a retained-lattice workspace only)."""
+        return self._scatter_rows(spectrum, np.zeros((self.grid.n, self.grid.n // 2 + 1), complex))
+
+    def _scatter_rows(self, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+        k = self.grid.k_max
+        out[: k + 1, : k + 1] = spectrum[: k + 1]
+        out[-k:, : k + 1] = spectrum[k + 1:]
+        return out
+
+
+def _lattice_n(spectrum: np.ndarray) -> int:
+    """The grid size n of a spectrum on either lattice: n rows on the half
+    lattice, 2 k_max + 1 on the retained one. There 3 k_max is n - 1 or
+    n - 2, so n is the power of two of its bit length."""
+    rows = spectrum.shape[0]
+    return rows if rows % 2 == 0 else 1 << (3 * (rows // 2)).bit_length()
 
 
 def _parseval_dot(x: np.ndarray, y: np.ndarray) -> float:
     """n^4 times the L^2 inner product (normalized measure) of the real samples
-    of two half spectra. Columns 1..n/2-1 stand for their mirror columns too
-    and count twice; the self-conjugate columns 0 and n/2 count once.
+    of two spectra on one lattice. Columns 1..n/2-1 stand for their mirror
+    columns too and count twice; the self-conjugate columns 0 and n/2 count
+    once.
 
     Re(conj(x) y) is summed over the float views (re, im interleaved), with
     no BLAS call: a threaded BLAS dot spins a helper thread at large n.
+    Each column is summed over its rows in order, and a retained spectrum's
+    column sums are padded with zeros to the width of the half lattice. So
+    on dealiased spectra both lattices give the same bits: the weighted sum
+    below is a pairwise sum, whose grouping depends on the length summed.
     einsum overflows to inf without raising the floating-point flag; the
     plain sum of the column sums is returned then, so that the result is
     inf rather than the NaN (and the invalid flag) of inf - inf."""
     cols = np.einsum("ij,ij->j", x.view(float), y.view(float))
+    n = _lattice_n(x)
+    if cols.size < n + 2:
+        cols = np.concatenate((cols, np.zeros(n + 2 - cols.size)))
     if np.isinf(cols).any():
         return float(cols.sum())
     return float(2.0 * cols.sum() - cols[:2].sum() - cols[-2:].sum())
 
 
 def _parseval_l2(spectrum: np.ndarray) -> float:
-    """L^2 norm (normalized measure) of the real samples of a half spectrum."""
-    return math.sqrt(_parseval_dot(spectrum, spectrum)) / spectrum.shape[0] ** 2
+    """L^2 norm (normalized measure) of the real samples of a spectrum on
+    either lattice."""
+    return math.sqrt(_parseval_dot(spectrum, spectrum)) / _lattice_n(spectrum) ** 2
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -499,10 +595,11 @@ def grad_inf(v: VectorField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# array kernels: half spectra and samples in, results written into the
-# buffers given; scratch comes from the workspace under the names each
-# kernel lists. An output may not be a buffer that the kernel writes as
-# scratch, nor an input unless the kernel says so.
+# array kernels: spectra on the workspace's lattice and samples in, results
+# written into the buffers given; scratch comes from the workspace under the
+# names each kernel lists (its transforms write the buffers that
+# Workspace.forward and inverse name). An output may not be a buffer that
+# the kernel writes as scratch, nor an input unless the kernel says so.
 
 
 def _new_spectrum(grid: GridSpec) -> np.ndarray:
@@ -510,15 +607,13 @@ def _new_spectrum(grid: GridSpec) -> np.ndarray:
 
 
 def _product(f: np.ndarray, g: np.ndarray, out: np.ndarray, work: Workspace) -> np.ndarray:
-    """Half spectrum of the 2/3-truncated product of the samples f and g,
+    """Spectrum of the 2/3-truncated product of the samples f and g,
     into out; writes the "product" samples."""
-    _fftn(np.multiply(f, g, out=work.samples("product")), out=out)
-    out *= work.tables.dealias_mask
-    return out
+    return work.forward(np.multiply(f, g, out=work.samples("product")), out)
 
 
 def _divergence(vx: np.ndarray, vy: np.ndarray, out: np.ndarray, work: Workspace) -> np.ndarray:
-    """Half spectrum of div v from the half spectra of v, into out (which may
+    """Spectrum of div v from the spectra of v, into out (which may
     be vx); writes the "scratch" spectrum."""
     t = work.tables
     np.multiply(t.ddx, vx, out=out)
@@ -528,7 +623,7 @@ def _divergence(vx: np.ndarray, vy: np.ndarray, out: np.ndarray, work: Workspace
 
 def _leray_project(vx: np.ndarray, vy: np.ndarray, out_x: np.ndarray, out_y: np.ndarray,
                    work: Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """Half spectra of the divergence-free part of v, into out_x and out_y;
+    """Spectra of the divergence-free part of v, into out_x and out_y;
     writes the "scratch" spectrum."""
     t = work.tables
     helm = np.multiply(t.kx, vx, out=out_y)
@@ -540,21 +635,19 @@ def _leray_project(vx: np.ndarray, vy: np.ndarray, out_x: np.ndarray, out_y: np.
 
 
 def _advect(ux: np.ndarray, uy: np.ndarray, f: np.ndarray, out: np.ndarray, work: Workspace) -> np.ndarray:
-    """Half spectrum of u . grad f, dealiased, from the samples ux, uy and the
-    half spectrum f, into out (which may be f); writes the "scratch" spectrum
+    """Spectrum of u . grad f, dealiased, from the samples ux, uy and the
+    spectrum f, into out (which may be f); writes the "scratch" spectrum
     and the "product" and "gradient" samples."""
     t = work.tables
-    gx = _ifftn_real(np.multiply(f, t.ddx, out=work.spectrum("scratch")), out=work.samples("product"))
-    gy = _ifftn_real(np.multiply(f, t.ddy, out=work.spectrum("scratch")), out=work.samples("gradient"))
+    gx = work.inverse(np.multiply(f, t.ddx, out=work.spectrum("scratch")), work.samples("product"))
+    gy = work.inverse(np.multiply(f, t.ddy, out=work.spectrum("scratch")), work.samples("gradient"))
     np.multiply(ux, gx, out=gx)
     gx += np.multiply(uy, gy, out=gy)
-    _fftn(gx, out=out)
-    out *= t.dealias_mask
-    return out
+    return work.forward(gx, out)
 
 
 def _self_advection(ux: np.ndarray, uy: np.ndarray, work: Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """Half spectra of (u . grad) u in flux form, dealiased, from the samples
+    """Spectra of (u . grad) u in flux form, dealiased, from the samples
     of a divergence-free u (self_advection); returned in the "flux_x" and
     "flux_y" spectra. Writes the "scratch" spectrum and "product" samples."""
     t = work.tables

@@ -10,10 +10,12 @@ from dampedeuler.fields import (
     GridSpec,
     ScalarField,
     VectorField,
+    Workspace,
     _fftn,
     _half_tables,
     _ifftn_real,
     _parseval_dot,
+    _parseval_l2,
     advect,
     apply_multiplier,
     curl2d,
@@ -370,6 +372,52 @@ class TestTransformsIntoBuffers:
         samples = np.empty((n, n))
         assert _ifftn_real(spectrum, out=samples) is samples
         assert samples.tobytes() == _ifftn_real(spectrum).tobytes()
+
+
+class TestRetainedLattice:
+    """A workspace on the retained lattice gives the bits of the half lattice
+    on dealiased spectra: its transform pair, and the Parseval sum."""
+
+    @staticmethod
+    def dealiased(grid, rng):
+        return _fftn(rng.standard_normal(grid.shape)) * _half_tables(grid).dealias_mask
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_pair_matches_the_masked_half_lattice_pair(self, n):
+        grid, rng = GridSpec(n=n), np.random.default_rng(n)
+        work = Workspace(grid, retained=True)
+        x = rng.standard_normal(grid.shape)
+        forward = work.forward(x, work.spectrum("out"))
+        half = _fftn(x) * _half_tables(grid).dealias_mask
+        assert forward.shape == (2 * grid.k_max + 1, grid.k_max + 1)
+        assert forward.tobytes() == work.gather(half, np.empty_like(forward)).tobytes()
+        assert np.array_equal(work.scatter(forward), half)
+        samples = work.inverse(forward, work.samples("out"))
+        assert samples.tobytes() == _ifftn_real(half).tobytes()
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
+    def test_parseval_sums_match_the_half_lattice(self, n):
+        grid, rng = GridSpec(n=n), np.random.default_rng(n)
+        work = Workspace(grid, retained=True)
+        x, y = self.dealiased(grid, rng), self.dealiased(grid, rng)
+        xr, yr = (work.gather(a, work.spectrum(name)) for a, name in ((x, "x"), (y, "y")))
+        for a, b, ar, br in ((x, y, xr, yr), (x, x, xr, xr), (y, x, yr, xr)):
+            assert _parseval_dot(ar, br).hex() == _parseval_dot(a, b).hex()
+        assert _parseval_l2(xr).hex() == _parseval_l2(x).hex()
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
+    def test_round_trip_of_a_constant_is_exact(self, n):
+        # what lets the stepper keep a constant density's own field: the
+        # masked transform of constant samples is its mean mode alone, and
+        # the inverse gives the same samples back
+        grid, rng = GridSpec(n=n), np.random.default_rng(n)
+        constants = [1.0, -1.0, 0.1, math.pi, 1e-300, 1e300, *rng.uniform(-1e3, 1e3, 12),
+                     *np.exp(rng.uniform(-30.0, 30.0, 12))]
+        for c in constants:
+            values = np.full(grid.shape, c)
+            spectrum = _fftn(values) * _half_tables(grid).dealias_mask
+            assert np.count_nonzero(spectrum) == 1 and spectrum[0, 0] != 0.0
+            assert _ifftn_real(spectrum).tobytes() == values.tobytes()
 
 
 class TestDealias:
