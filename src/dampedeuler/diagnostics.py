@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ParameterError, ScalarField, grad_inf, lp_norm
-from .littlewood_paley import B1, besov_norm, besov_norms
+from .fields import ParameterError, ScalarField, Workspace, _grad_inf, _magnitude, _parseval_l2, lp_norm
+from .littlewood_paley import B1, _besov_norms, besov_norm
 
 LOG_HUGE = 700.0  # exp threshold before float overflow
 
@@ -63,31 +63,55 @@ def csv_columns(n_indices: int) -> list[str]:
     return cols
 
 
-def make_record(state, config, bank, prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
+def make_record(state, config, bank, prev: DiagnosticsRecord | None, work=None,
+                u_samples=None) -> DiagnosticsRecord:
     """Evaluate one diagnostics row; the BKM integral extends the previous
-    row by the trapezoid rule."""
-    u = state.u
-    grad_pi = state.grad_pi
-    rho = state.rho
-    rho_m1 = rho + ScalarField.constant(rho.grid, -1.0)
-    g_inf = grad_inf(u)
+    row by the trapezoid rule.
+
+    l2_u and energy are taken from the velocity samples u_samples (default:
+    those of state.u), so a row does not depend on what the state caches.
+    The rest is formed on work, a workspace on the retained lattice
+    (default: a new one): u and grad Pi are gathered once, into its
+    "state_u_*" and "flux_*" spectra, and their dyadic blocks and grad u
+    are formed there and transformed by its pruned inverse, in its
+    "scratch" and "residual" spectra and "u_x" and "u_y" samples, which
+    are written only after u_samples is read. On a run's stepper, between
+    tendency and step, every one of those buffers is idle. Only the
+    retained modes of u and grad Pi are read, as a run's states hold no
+    other. rho - 1 stays on the half lattice: the forward transform of its
+    samples holds roundoff beyond k_max, which its blocks see."""
+    u, rho = state.u, state.rho
+    work = Workspace(u.grid, retained=True) if work is None else work
+    squares = _magnitude(*(u_samples or (c.values for c in u.components))) ** 2
+    l2_u = float(math.sqrt(np.mean(squares)))
+    energy = 0.5 * float(np.mean(rho.values * squares))
+    del squares  # freed before the blocks are formed: peak memory
+    u_hat = _gathered(u, work, ("state_u_x", "state_u_y"))
+    g_hat = _gathered(state.grad_pi, work, ("flux_x", "flux_y"))
+    g_inf = _grad_inf(u_hat, work)
     if prev is None:
         bkm = 0.0
     else:
         bkm = prev.bkm_running + 0.5 * (state.t - prev.t) * (g_inf + prev.grad_u_inf)
     return DiagnosticsRecord(
         t=state.t,
-        l2_u=lp_norm(u, 2),
-        besov_u=besov_norms(bank, u, config.besov_indices),
-        l2_grad_pi=lp_norm(grad_pi, 2),
-        besov_grad_pi=besov_norms(bank, grad_pi, config.besov_indices),
-        besov_rho_minus_1=besov_norm(bank, rho_m1, B1),
+        l2_u=l2_u,
+        besov_u=_besov_norms(bank, u_hat, config.besov_indices, work),
+        l2_grad_pi=math.hypot(*(_parseval_l2(g) for g in g_hat)),
+        besov_grad_pi=_besov_norms(bank, g_hat, config.besov_indices, work),
+        besov_rho_minus_1=besov_norm(bank, rho + ScalarField.constant(rho.grid, -1.0), B1),
         rho_min=float(rho.values.min()),
         rho_max=float(rho.values.max()),
-        energy=0.5 * float(np.mean(rho.values * u.magnitude() ** 2)),
+        energy=energy,
         grad_u_inf=g_inf,
         bkm_running=bkm,
     )
+
+
+def _gathered(v, work, names) -> tuple:
+    """The retained modes of the spectra of the vector field v, gathered
+    into work's spectra of the given names."""
+    return tuple(work.gather(c.spectrum, work.spectrum(name)) for c, name in zip(v.components, names))
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +193,26 @@ class InitialNorms:
         return self.u_l2 + self.u_besov1
 
 
-def initial_norms(state, bank) -> InitialNorms:
-    """The norms of the t = 0 state (rho, u) that the conditions use."""
-    rho_m1 = state.rho + ScalarField.constant(state.rho.grid, -1.0)
-    return InitialNorms(
-        u_besov1=besov_norm(bank, state.u, B1),
-        u_l2=lp_norm(state.u, 2),
-        rho_besov1=besov_norm(bank, rho_m1, B1),
-    )
+def initial_norms(state, bank, record: DiagnosticsRecord | None = None, indices=(),
+                  work=None) -> InitialNorms:
+    """The norms of the t = 0 state (rho, u) that the conditions use. Given
+    the state's record, made with the Besov indices indices, they are read
+    from it: its l2_u, its besov_rho_minus_1 and, when B1 is among indices,
+    its B1 norm of u; a B1 norm of u not tracked is formed on work, as
+    make_record forms its blocks."""
+    if record is None:
+        rho_m1 = state.rho + ScalarField.constant(state.rho.grid, -1.0)
+        return InitialNorms(
+            u_besov1=besov_norm(bank, state.u, B1),
+            u_l2=lp_norm(state.u, 2),
+            rho_besov1=besov_norm(bank, rho_m1, B1),
+        )
+    if B1 in indices:
+        u_besov1 = record.besov_u[list(indices).index(B1)]
+    else:
+        work = Workspace(state.u.grid, retained=True) if work is None else work
+        u_besov1 = _besov_norms(bank, _gathered(state.u, work, ("state_u_x", "state_u_y")), (B1,), work)[0]
+    return InitialNorms(u_besov1=u_besov1, u_l2=record.l2_u, rho_besov1=record.besov_rho_minus_1)
 
 
 @dataclass(frozen=True)

@@ -295,7 +295,7 @@ def pressure_gradient(state: FluidState, config: SimConfig) -> VectorField:
     """Pressure gradient consistent with the current state."""
     stepper = _Stepper(config)
     stepper.tendency(state)
-    return gradient(stepper.pi)
+    return gradient(stepper.potential())
 
 
 def momentum_rhs(state: FluidState, config: SimConfig) -> VectorField:
@@ -316,7 +316,7 @@ def density_rhs(state: FluidState) -> ScalarField:
     then keeps the state's own density at every RK4 stage. A density one ulp
     from constant is transported."""
     rho = state.rho
-    if _uniform(rho.values):
+    if _uniform(rho.values.min(), rho.values.max()):
         return ScalarField.zero(rho.grid)
     ux, uy = (c.values for c in state.u.components)
     out = advect(ux, uy, rho.spectrum, _new_spectrum(rho.grid), Workspace(rho.grid))
@@ -433,13 +433,14 @@ def _check_invariants(state: FluidState, work: Workspace | None = None, u_hat: t
         )
 
 
-def _checked_record(state: FluidState, config: SimConfig, bank,
-                    prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
-    """make_record, where an overflow or a non-finite value is an
+def _checked_record(state: FluidState, config: SimConfig, bank, prev: DiagnosticsRecord | None,
+                    stepper: _Stepper) -> DiagnosticsRecord:
+    """make_record on the stepper's workspace, from the first stage that it
+    holds of state, where an overflow or a non-finite value is an
     InvariantViolation that names the operation or the column, and t."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            record = make_record(state, config, bank, prev)
+            record = make_record(state, config, bank, prev, stepper.work, stepper.u_samples)
     except FloatingPointError as exc:
         raise InvariantViolation(f"diagnostics not finite at t = {state.t:.6g}: {exc}") from None
     for name, value in zip(csv_columns(len(config.besov_indices)), record.row()):
@@ -456,21 +457,30 @@ class _Stepper:
     the RK4 stages and the scratch of every kernel that a stage calls: the
     stage state, the flux-form products, the damping, the density
     transport, the whole pressure solve and the RK4 sum. Its first stage
-    gathers the retained modes of the state's spectra; of a state's spectra
-    the stepper reads only those, and its samples as they are. step
-    scatters the spectra of the state it returns, and each solve returns
-    its potential, back into half-lattice fields. So a step allocates only
-    the arrays of the state it returns, the samples that its first stage
-    caches on the state it starts from, and each solve's potential; every
-    one of those is owned by its field. The buffers never leave the
-    stepper. At a constant density (fields._uniform) the density keeps the
-    state's own field at every stage and in the state returned, and its
-    zero tendency is not formed.
+    gathers the retained modes of the state's spectra, and takes the
+    velocity samples from them into the "u_x" and "u_y" samples, unless the
+    state holds its own (u_samples names the pair); of a state's spectra
+    the stepper reads only the retained modes. step scatters the spectra of
+    the state it returns into half-lattice fields, which own them. Each
+    solve leaves its potential in the "potential" spectrum, and the stepper
+    copies it to "last_potential"; potential() scatters that into a field
+    when something asks for one (a record, pressure_gradient). So a step
+    allocates only the arrays of the state it returns, and the buffers
+    never leave the stepper. At a constant density (fields._uniform) the
+    density keeps the state's own field at every stage and in the state
+    returned, every stage reuses the first stage's coefficient bounds, and
+    the zero tendency is not formed.
+
+    Between tendency and step the first stage lives in the "k1_*", "state_*",
+    "potential", "last_potential" and increment spectra, and in u_samples.
+    Every other buffer is idle, and a record (diagnostics.make_record) may
+    write it once it has read u_samples: step writes each of them before it
+    reads it.
 
     Each pressure solve starts from a guess (the converged potential does
-    not depend on it) built from pi, the last potential solved: by a
-    state's first stage, the last stage of the step before; by each later
-    stage, the stage before. Stage s of step m starts from
+    not depend on it) built from the last potential solved: by a state's
+    first stage, the last stage of the step before; by each later stage,
+    the stage before. Stage s of step m starts from
     pi + 2 D_s(m-1) - D_s(m-2), where D_s(k) is the increment that stage s
     added to pi in step k; with one earlier step from pi + D_s(m-1), and
     before that from pi. The guess and the increments stay on the retained
@@ -479,12 +489,14 @@ class _Stepper:
     count the converged solves."""
 
     def __init__(self, config: SimConfig):
-        self.config, self.pi = config, None
+        self.config = config
         self.work = Workspace(config.grid, retained=True)
         self.increments = {}  # stage -> work spectra (D_s(m-1), D_s(m-2) or None)
         self.solves = self.iterations = self.max_iterations = 0
         self.uniform = False  # the density of the state last given to tendency is constant
+        self.bounds = None  # that density's coefficient bounds
         self.first_stage_of = None  # that state, whose first stage the "k1" spectra hold
+        self.u_samples = None  # its velocity samples
 
     def _spectra(self, kind: str) -> tuple:
         """The work spectra of kind "state", "k1" or "stage": (rho, u_x, u_y),
@@ -492,14 +504,20 @@ class _Stepper:
         names = ("u_x", "u_y") if self.uniform else ("rho", "u_x", "u_y")
         return tuple(self.work.spectrum(f"{kind}_{name}") for name in names)
 
+    def potential(self) -> ScalarField:
+        """The last potential solved, after tendency(state) the first-stage
+        potential of state, as a half-lattice field of its own."""
+        if not self.solves:
+            raise ValueError("no pressure solve has been made")
+        return ScalarField(self.config.grid, spectrum=self.work.scatter(self.work.spectrum("last_potential")))
+
     def guess(self, stage: int) -> np.ndarray | None:
         """The initial guess of the solve of RK4 stage 1..4, in work's
-        "potential" spectrum, from the retained modes of pi, which it
-        gathers into "last_potential"; None before the first solve."""
-        if self.pi is None:
+        "potential" spectrum, from the last potential, "last_potential";
+        None before the first solve."""
+        if not self.solves:
             return None
-        work = self.work
-        pi, guess = work.gather(self.pi.spectrum, work.spectrum("last_potential")), work.spectrum("potential")
+        pi, guess = self.work.spectrum("last_potential"), self.work.spectrum("potential")
         last, before = self.increments.get(stage, (None, None))
         if last is None:
             np.copyto(guess, pi)
@@ -516,24 +534,27 @@ class _Stepper:
         gathers its spectra into the "state" spectra and writes the "k1"
         spectra; a later stage reads its stage state from the "stage"
         spectra and writes its tendency over it. The solve starts from
-        guess(stage) and leaves the new potential in pi."""
+        guess(stage) and leaves the new potential in "last_potential"."""
         work = self.work
-        if stage == 1 or self.uniform:
-            rho = state.rho.values
+        if stage > 1 and self.uniform:  # the state's own density, as at stage 1
+            rho, bounds = state.rho.values, self.bounds
         else:
-            rho = work.inverse(work.spectrum("stage_rho"), work.samples("density"))
-        try:
-            bounds = coefficient_bounds(rho)
-        except ValueError as exc:
-            raise InvariantViolation(f"stage {exc} at t = {t:.6g}") from None
+            rho = (state.rho.values if stage == 1
+                   else work.inverse(work.spectrum("stage_rho"), work.samples("density")))
+            try:
+                bounds = coefficient_bounds(rho)
+            except ValueError as exc:
+                raise InvariantViolation(f"stage {exc} at t = {t:.6g}") from None
         if stage == 1:
-            self.uniform = bounds.uniform
+            self.uniform, self.bounds = bounds.uniform, bounds
             out, given = self._spectra("k1"), state.u.components
             if not self.uniform:
                 given = (state.rho, *given)
             a = tuple(work.gather(f.spectrum, x) for f, x in zip(given, self._spectra("state")))
             rho_hat, u_hat = None if self.uniform else a[0], a[-2:]
-            ux, uy = (c.values for c in state.u.components)  # cached on the state, for its record
+            ux, uy = self.u_samples = tuple(
+                work.inverse(u, work.samples(name)) if c.cached_values is None else c.cached_values
+                for c, u, name in zip(state.u.components, u_hat, ("u_x", "u_y")))
         else:
             out = self._spectra("stage")
             rho_hat, u_hat = None if self.uniform else out[0], out[-2:]
@@ -542,12 +563,13 @@ class _Stepper:
         warm = not bounds.uniform
         sol = solve_pressure(rho, forcing, self.config.pressure,
                              initial_guess=self.guess(stage) if warm else None, work=work, bounds=bounds)
-        if warm and self.pi is not None:
+        potential, last_potential = work.spectrum("potential"), work.spectrum("last_potential")
+        if warm and self.solves:
             last, before = self.increments.get(stage, (None, None))
             new = before if before is not None else work.spectrum(f"increment{stage}_{last is not None:d}")
-            np.subtract(work.spectrum("potential"), work.spectrum("last_potential"), out=new)
+            np.subtract(potential, last_potential, out=new)
             self.increments[stage] = (new, last)
-        self.pi = sol.pi
+        np.copyto(last_potential, potential)
         self.solves += 1
         self.iterations += sol.iterations
         self.max_iterations = max(self.max_iterations, sol.iterations)
@@ -560,7 +582,7 @@ class _Stepper:
     def tendency(self, state: FluidState) -> FluidState:
         """Evaluate RK4 stage 1 at state into the workspace. Returns state, the
         k1 that step takes: the mark of the state whose first stage is held."""
-        self.first_stage_of = None
+        self.first_stage_of = self.u_samples = None
         self._evaluate(1, state.t, state)
         self.first_stage_of = state
         return state
@@ -570,7 +592,7 @@ class _Stepper:
         state, such as the one its record replaces)."""
         if k1 is not self.first_stage_of:
             raise ValueError("k1 is not the first stage that this stepper holds")
-        self.first_stage_of = None  # the RK4 sum overwrites it
+        self.first_stage_of = self.u_samples = None  # the RK4 sum overwrites them
         cfg, work, grid = self.config, self.work, self.config.grid
         bounds = state.rho_bounds or (float(state.rho.values.min()), float(state.rho.values.max()))
         k, y = self._spectra("k1"), self._spectra("stage")
@@ -633,20 +655,23 @@ def run_simulation(config: SimConfig) -> SimulationResult:
     """
     bank = build_filter_bank(config.grid)
     state = initial_state(config)
-    norms = initial_norms(state, bank)
     n_steps = _step_count(config.t_end, config.dt, config.record_every)
 
-    stepper, records, failure = _Stepper(config), [], None
+    stepper, records, norms, failure = _Stepper(config), [], None, None
     try:
         for step in range(n_steps + 1):
             if step:
                 state = stepper.step(state, k1)
             k1 = stepper.tendency(state)
             if step % config.record_every == 0 or step == n_steps:
-                state = replace(state, grad_pi=gradient(stepper.pi))
-                records.append(_checked_record(state, config, bank, records[-1] if records else None))
+                state = replace(state, grad_pi=gradient(stepper.potential()))
+                records.append(_checked_record(state, config, bank, records[-1] if records else None, stepper))
+                if step == 0:  # the initial norms are read from the t = 0 record
+                    norms = initial_norms(state, bank, records[0], config.besov_indices, stepper.work)
     except (InvariantViolation, PressureSolveError) as exc:
         failure = str(exc)
+    if norms is None:  # the t = 0 record failed, so state is the initial state
+        norms = initial_norms(state, bank)
     return SimulationResult(records, state, norms, failure, stepper.telemetry())
 
 

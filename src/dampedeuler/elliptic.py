@@ -125,12 +125,12 @@ def coefficient_bounds(rho: ScalarField | np.ndarray) -> CoefficientBounds:
     rho_max = float(values.max())
     if not (rho_min > 0.0 and math.isfinite(rho_max)):  # a NaN minimum fails too
         raise ValueError(f"density not finite and positive: min {rho_min:.3e}, max {rho_max:.3e}")
-    return CoefficientBounds(a_star=1.0 / rho_max, a_upper=1.0 / rho_min, uniform=_uniform(values))
+    return CoefficientBounds(a_star=1.0 / rho_max, a_upper=1.0 / rho_min, uniform=_uniform(rho_min, rho_max))
 
 
 @dataclass(frozen=True)
 class PressureSolution:
-    pi: ScalarField
+    pi: ScalarField | None  # None on the work= path, which leaves it in work
     # dealias((1/rho) grad Pi): the tendency's pressure term; a pair of
     # workspace spectra when the solve was given a workspace
     accel: VectorField | tuple[np.ndarray, np.ndarray]
@@ -139,7 +139,7 @@ class PressureSolution:
     residual_history: tuple[float, ...] = field(default=())
 
     @property
-    def grad_pi(self) -> VectorField:  # on demand: the stages need only pi and accel
+    def grad_pi(self) -> VectorField:  # on demand, of a field-API solve: the stages need only accel
         return gradient(self.pi)
 
 
@@ -189,10 +189,11 @@ def solve_pressure(
     again) and initial_guess None or a spectrum on work's lattice. The solve
     runs on work's lattice in work's "potential" spectrum, where it copies
     the guess (the stepper writes its guess there, which saves the copy) and
-    leaves the potential's spectrum; the potential it returns is a
-    half-lattice field all the same. accel is then the pair of work's
-    "flux_x" and "flux_y" spectra, which the caller reads before the next
-    kernel writes them.
+    leaves the potential's spectrum. It returns no potential field then
+    (pi is None): the caller reads the potential in work, and scatters it
+    into a half-lattice field only if something asks for one. accel is the
+    pair of work's "flux_x" and "flux_y" spectra, which the caller reads
+    before the next kernel writes them.
     """
     field_api = work is None
     if field_api:
@@ -216,11 +217,10 @@ def solve_pressure(
     a = bounds.a_star if bounds.uniform else np.divide(1.0, rho, out=work.samples("coefficient"))
     s = _preconditioner_samples(rho, bounds, work)
     iterations, residual, history = _pcg(a, bounds, s, res_hat, pi_hat, flux, f_norm, params, work, guessed)
-    if field_api:
-        flux = VectorField(ScalarField(grid, spectrum=f) for f in flux)
-    else:
-        pi_hat = work.scatter(pi_hat)
-    return PressureSolution(ScalarField(grid, spectrum=pi_hat), flux, iterations, residual, history)
+    if not field_api:
+        return PressureSolution(None, flux, iterations, residual, history)
+    accel = VectorField(ScalarField(grid, spectrum=f) for f in flux)
+    return PressureSolution(ScalarField(grid, spectrum=pi_hat), accel, iterations, residual, history)
 
 
 # ---------------------------------------------------------------------------

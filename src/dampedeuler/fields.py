@@ -186,11 +186,12 @@ def _ifftn_real(spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return np.fft.irfftn(spectrum, s=(n, n), axes=(0, 1), out=out)
 
 
-def _uniform(values: np.ndarray) -> bool:
-    """Whether every sample is equal: an exact test with no tolerance (a NaN
-    fails it). The one test of a constant density, read by
-    elliptic.coefficient_bounds and dynamics.density_rhs."""
-    return bool(values.min() == values.max())
+def _uniform(lo: float, hi: float) -> bool:
+    """Whether samples whose minimum is lo and maximum hi are all equal: an
+    exact test with no tolerance (a NaN fails it). The one test of a
+    constant density, read by elliptic.coefficient_bounds and
+    dynamics.density_rhs, which pass the extremes they have taken."""
+    return bool(lo == hi)
 
 
 class Workspace:
@@ -211,7 +212,9 @@ class Workspace:
     pass runs on the k_max + 1 retained columns only, and the retained rows
     are gathered from it (forward) or scattered into zeros for it (inverse),
     all in buffers of the workspace. Each 1-D transform is the one that
-    rfftn/irfftn make on that line, so a retained mode has the same bits."""
+    rfftn/irfftn make on that line, so a retained mode has the same bits.
+    apply multiplies a spectrum by a half-lattice table, such as a filter
+    bank's block profile, at the workspace's modes."""
 
     __slots__ = ("grid", "retained", "tables", "_arrays")
 
@@ -245,16 +248,32 @@ class Workspace:
         return self.gather(half, out)
 
     def inverse(self, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The real samples of a spectrum, into out; writes the "transform"
-        and "scattered" buffers (the latter stays zero at every other mode).
-        irfft reads the k_max + 1 columns as the first of n//2 + 1 and pads
-        the others with zeros, as a half spectrum holds them."""
+        """The real samples of a spectrum, into out; writes the "scattered"
+        buffer, a half spectrum whose columns above k_max stay zero. The
+        rows are scattered into its first k_max + 1 columns, zero between
+        them, and the axis-0 pass runs there in place; irfft then reads all
+        n//2 + 1 columns, as a half spectrum holds them. Given only the
+        k_max + 1 columns, irfft pads them itself, with the same bits at a
+        higher cost."""
         if not self.retained:
             return _ifftn_real(spectrum, out=out)
-        n, c = self.grid.n, self.grid.k_max + 1
-        cols = self._get("transform", (n, n // 2 + 1), complex)[:, :c]
-        np.fft.ifft(self._scatter_rows(spectrum, self._get("scattered", (n, c), complex)), axis=0, out=cols)
-        return np.fft.irfft(cols, n, axis=1, out=out)
+        n, k = self.grid.n, self.grid.k_max
+        padded = self._get("scattered", (n, n // 2 + 1), complex)
+        cols = padded[:, : k + 1]
+        cols[k + 1 : n - k] = 0.0
+        self._scatter_rows(spectrum, padded)
+        np.fft.ifft(cols, axis=0, out=cols)
+        return np.fft.irfft(padded, n, axis=1, out=out)
+
+    def apply(self, spectrum: np.ndarray, mult: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """spectrum times mult, a table over the half lattice, at the
+        workspace's modes, into out (the operand order of apply_multiplier)."""
+        if not self.retained:
+            return np.multiply(spectrum, mult, out=out)
+        k = self.grid.k_max
+        np.multiply(spectrum[: k + 1], mult[: k + 1, : k + 1], out=out[: k + 1])
+        np.multiply(spectrum[k + 1:], mult[-k:, : k + 1], out=out[k + 1:])
+        return out
 
     def gather(self, half: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The retained modes of a half spectrum, into out on the retained
@@ -270,6 +289,8 @@ class Workspace:
         return self._scatter_rows(spectrum, np.zeros((self.grid.n, self.grid.n // 2 + 1), complex))
 
     def _scatter_rows(self, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The retained rows of spectrum into the first k_max + 1 columns of
+        out, a half spectrum; its other entries are left as they are."""
         k = self.grid.k_max
         out[: k + 1, : k + 1] = spectrum[: k + 1]
         out[-k:, : k + 1] = spectrum[k + 1:]
@@ -373,6 +394,11 @@ class ScalarField:
         return self._values
 
     @property
+    def cached_values(self) -> np.ndarray | None:
+        """The samples if the field holds them, else None; no transform."""
+        return self._values
+
+    @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
             self._spectrum = _freeze(_fftn(self._values))
@@ -443,15 +469,8 @@ class VectorField:
         return self.components[0].grid
 
     def magnitude(self) -> np.ndarray:
-        """Pointwise Euclidean length. The components are scaled by a power
-        of two near their largest size, which is exact, so the squares
-        overflow only where the length does; np.hypot does the same at
-        several times the cost. For a subnormal largest size the exponent
-        stops at sys.float_info.min_exp, so that the scale stays finite."""
-        vx, vy = (c.values for c in self.components)
-        e = max(math.frexp(max(vx.max(), -vx.min(), vy.max(), -vy.min()))[1], sys.float_info.min_exp)
-        s = math.ldexp(1.0, -e)
-        return np.ldexp(np.sqrt((vx * s) ** 2 + (vy * s) ** 2), e)
+        """Pointwise Euclidean length (_magnitude)."""
+        return _magnitude(*(c.values for c in self.components))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(tuple(a + b for a, b in zip(self.components, other.components)))
@@ -472,6 +491,35 @@ class VectorField:
 
 
 Field = ScalarField | VectorField
+
+
+def _magnitude_exponent(vx: np.ndarray, vy: np.ndarray) -> int:
+    """The binary exponent of the largest component size; it stops at
+    sys.float_info.min_exp for a subnormal size, so that 2^-e stays finite."""
+    return max(math.frexp(max(vx.max(), -vx.min(), vy.max(), -vy.min()))[1], sys.float_info.min_exp)
+
+
+def _magnitude(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    """Pointwise Euclidean length of the samples vx, vy. The components are
+    scaled by a power of two near their largest size, which is exact, so the
+    squares overflow only where the length does; np.hypot does the same at
+    several times the cost."""
+    e = _magnitude_exponent(vx, vy)
+    s = math.ldexp(1.0, -e)
+    return np.ldexp(np.sqrt((vx * s) ** 2 + (vy * s) ** 2), e)
+
+
+def _max_magnitude(vx: np.ndarray, vy: np.ndarray) -> float:
+    """The maximum of _magnitude(vx, vy), with the same bits, overwriting vx
+    and vy: sqrt and the power-of-two scaling are monotone, so the maximum
+    of the scaled squares is taken first and square-rooted once."""
+    e = _magnitude_exponent(vx, vy)
+    s = math.ldexp(1.0, -e)
+    for v in (vx, vy):
+        v *= s
+        np.square(v, out=v)
+    vx += vy
+    return float(np.ldexp(np.sqrt(vx.max()), e))
 
 
 def hermitian_defect(f: ScalarField) -> float:
@@ -547,7 +595,11 @@ def lp_norm(f: Field, p: float) -> float:
                 return _parseval_l2(f._spectrum)
         elif any(c._values is None for c in f.components):
             return math.hypot(*(_parseval_l2(c.spectrum) for c in f.components))
-    mag = np.abs(f.values) if isinstance(f, ScalarField) else f.magnitude()
+    return _norm_of_magnitude(np.abs(f.values) if isinstance(f, ScalarField) else f.magnitude(), p)
+
+
+def _norm_of_magnitude(mag: np.ndarray, p: float) -> float:
+    """The L^p norm of the pointwise magnitude mag of a field."""
     if math.isinf(p):
         return float(np.max(mag))
     if p == 1:
@@ -591,7 +643,7 @@ def self_advection(u: VectorField) -> VectorField:
 
 def grad_inf(v: VectorField) -> float:
     """Sup norm of the Jacobian: max over components of |grad v_i|."""
-    return max(lp_norm(gradient(c), math.inf) for c in v.components)
+    return _grad_inf(tuple(c.spectrum for c in v.components), Workspace(v.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +656,33 @@ def grad_inf(v: VectorField) -> float:
 
 def _new_spectrum(grid: GridSpec) -> np.ndarray:
     return np.empty((grid.n, grid.n // 2 + 1), complex)
+
+
+def _lp_norms(spectra: tuple, ps, work: Workspace) -> dict:
+    """lp_norm for each p in ps of the scalar field (one spectrum) or vector
+    field (two) whose spectra on work's lattice are given: L^2 by Parseval,
+    any other p from the samples, which it writes into the "u_x" and "u_y"
+    samples. A vector's sup norm alone takes _max_magnitude."""
+    norms = {2: math.hypot(*(_parseval_l2(s) for s in spectra))} if 2 in ps else {}
+    others = [p for p in ps if p != 2]
+    if others:
+        v = [work.inverse(s, work.samples(name)) for s, name in zip(spectra, ("u_x", "u_y"))]
+        if len(v) == 2 and others == [math.inf]:
+            norms[math.inf] = _max_magnitude(*v)
+        else:
+            mag = np.abs(v[0], out=v[0]) if len(v) == 1 else _magnitude(*v)
+            norms.update((p, _norm_of_magnitude(mag, p)) for p in others)
+    return norms
+
+
+def _grad_inf(spectra: tuple, work: Workspace) -> float:
+    """grad_inf of the vector field whose spectra on work's lattice are
+    given; writes the "scratch" and "residual" spectra, and the samples that
+    _lp_norms writes."""
+    t, gx, gy = work.tables, work.spectrum("scratch"), work.spectrum("residual")
+    norms = (_lp_norms((np.multiply(c, t.ddx, out=gx), np.multiply(c, t.ddy, out=gy)), {math.inf}, work)
+             for c in spectra)
+    return max(n[math.inf] for n in norms)
 
 
 def _product(f: np.ndarray, g: np.ndarray, out: np.ndarray, work: Workspace) -> np.ndarray:

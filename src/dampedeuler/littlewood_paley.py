@@ -25,7 +25,9 @@ from .fields import (
     ParameterError,
     ScalarField,
     VectorField,
+    Workspace,
     _half_tables,
+    _lp_norms,
     apply_multiplier,
     dealias,
     gradient,
@@ -171,15 +173,24 @@ def _pow2(x: float) -> float:
 
 
 def besov_norms(bank: DyadicFilterBank, f: Field, indices) -> tuple[float, ...]:
-    """besov_norm of f for each index, from one pass over the blocks of f:
-    each block is formed once and every index reads its L^p norm from it."""
-    # L^2 first: lp_norm takes it by Parseval while the block has no samples
-    ps = sorted({idx.p for idx in indices}, key=lambda p: p != 2)
+    """besov_norm of f for each index, from one pass over the blocks of f
+    (_besov_norms, on a half-lattice workspace)."""
+    spectra = (f.spectrum,) if isinstance(f, ScalarField) else tuple(c.spectrum for c in f.components)
+    return _besov_norms(bank, spectra, indices, Workspace(f.grid))
+
+
+def _besov_norms(bank: DyadicFilterBank, spectra: tuple, indices, work: Workspace) -> tuple[float, ...]:
+    """besov_norms of the scalar field (one spectrum) or vector field (two)
+    whose spectra on work's lattice are given: each block is formed once, in
+    the "scratch" (and "residual") spectrum, and every index reads its L^p
+    norm from it (fields._lp_norms, which writes the "u_x" and "u_y"
+    samples)."""
+    ps = {idx.p for idx in indices}
+    blocks = tuple(work.spectrum(name) for name in ("scratch", "residual")[: len(spectra)])
     terms = [[] for _ in indices]
     for j in bank.block_indices():
-        block = apply_multiplier(f, bank.block_profile(j))
-        norms = {p: lp_norm(block, p) for p in ps}
-        del block  # free before the next block is formed: peak memory
+        profile = bank.block_profile(j)
+        norms = _lp_norms(tuple(work.apply(s, profile, b) for s, b in zip(spectra, blocks)), ps, work)
         for idx, t in zip(indices, terms):
             t.append(_pow2(j * idx.s) * norms[idx.p])
     out = []

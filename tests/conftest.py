@@ -72,3 +72,21 @@ def bump_run_doc(amplitude):
             "seed": 0,
         },
     }
+
+
+def count_transforms(monkeypatch, action) -> int:
+    """The 2-D real transforms that action() makes, on either lattice: an
+    rfftn or irfftn, or the pruned pair of a retained-lattice workspace,
+    which makes one 1-D rfft or irfft per 2-D transform. action() may make
+    no complex 2-D transform."""
+    calls = dict.fromkeys(("rfftn", "irfftn", "rfft", "irfft", "fftn", "ifftn"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    action()
+    monkeypatch.undo()
+    assert calls["fftn"] == calls["ifftn"] == 0
+    return calls["rfftn"] + calls["irfftn"] + calls["rfft"] + calls["irfft"]

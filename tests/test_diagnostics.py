@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,8 +21,11 @@ from dampedeuler.diagnostics import (
     smallness_gamma1_general,
 )
 from dampedeuler.config import build_sim_config, resolve_config
-from dampedeuler.dynamics import initial_state, pressure_gradient
+from dampedeuler.dynamics import _Stepper, initial_state, pressure_gradient
+from dampedeuler.fields import gradient
 from dampedeuler.littlewood_paley import build_filter_bank
+
+from conftest import count_transforms
 
 
 class TestFitDecayRate:
@@ -273,10 +277,10 @@ class TestEnergyBalanceResidual:
 
 
 class TestRecordTransformCount:
-    """Real transforms in one make_record on the t = 0 state: the Besov
-    norms of all tracked indices of u and grad Pi share one set of blocks.
-    These are the counts of the current design; lower them when a change
-    saves transforms."""
+    """2-D real transforms in one make_record on the t = 0 state, on either
+    lattice (conftest.count_transforms): the Besov norms of all tracked
+    indices of u and grad Pi share one set of blocks. These are the counts
+    of the current design; lower them when a change saves transforms."""
 
     TG_N256 = {
         "physics": {"alpha": 0.5, "gamma": 1},
@@ -303,12 +307,32 @@ class TestRecordTransformCount:
         state = initial_state(config)
         state = replace(state, grad_pi=pressure_gradient(state, config))
         bank = build_filter_bank(config.grid)
-        calls = dict.fromkeys(("rfftn", "irfftn"), 0)
-        for name in calls:
-            def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
-                calls[_name] += 1
-                return _transform(*args, **kwargs)
+        assert count_transforms(monkeypatch, lambda: make_record(state, config, bank, None)) == expected
 
-            monkeypatch.setattr(np.fft, name, counted)
-        make_record(state, config, bank, None)
-        assert sum(calls.values()) == expected
+
+class TestRecordAllocations:
+    """A record of a run works in its stepper's workspace: at n = 128 its
+    peak is about five half spectra (the velocity magnitude's squares and
+    the half-lattice pass over rho - 1), where a pass over fields of blocks
+    took about eight."""
+
+    def test_peak_is_a_few_half_spectra(self):
+        config = build_sim_config(resolve_config(TestRecordTransformCount.DENSE_N128))
+        stepper, state = _Stepper(config), initial_state(config)
+        state = stepper.step(state, stepper.tendency(state))
+        stepper.tendency(state)
+        state = replace(state, grad_pi=gradient(stepper.potential()))
+        bank = build_filter_bank(config.grid)
+
+        def record():
+            return make_record(state, config, bank, None, stepper.work, stepper.u_samples)
+
+        record()  # the workspace's buffers are built
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            record()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 128 * 65 * 16

@@ -8,7 +8,7 @@ import pytest
 
 from dampedeuler import dynamics
 from dampedeuler.config import build_sim_config, resolve_config
-from dampedeuler.diagnostics import beta0, energy_balance_residual, make_record
+from dampedeuler.diagnostics import beta0, energy_balance_residual, initial_norms, make_record
 from dampedeuler.dynamics import (
     FluidState,
     ICRecipe,
@@ -47,7 +47,7 @@ from dampedeuler.fields import (
 from dampedeuler.littlewood_paley import build_filter_bank
 from dampedeuler.verify import check_time_convergence
 
-from conftest import bump_run_doc, fd_gradient6
+from conftest import bump_run_doc, count_transforms, fd_gradient6
 
 
 def tg_config(alpha=0.5, gamma=1, n=64, dt=1e-3, t_end=1.0, amplitude=1.0, **kw):
@@ -202,24 +202,6 @@ class TestTransformCount:
     These are the counts of the current design; lower them when a change
     saves transforms."""
 
-    @staticmethod
-    def transforms(monkeypatch, action) -> int:
-        """The 2-D real transforms that action() makes, on either lattice: an
-        rfftn or irfftn, or the pruned pair of a retained-lattice workspace,
-        which makes one 1-D rfft or irfft per 2-D transform. action() may
-        make no complex 2-D transform."""
-        calls = dict.fromkeys(("rfftn", "irfftn", "rfft", "irfft", "fftn", "ifftn"), 0)
-        for name in calls:
-            def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
-                calls[_name] += 1
-                return _transform(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
-        action()
-        monkeypatch.undo()
-        assert calls["fftn"] == calls["ifftn"] == 0
-        return calls["rfftn"] + calls["irfftn"] + calls["rfft"] + calls["irfft"]
-
     @pytest.mark.parametrize("gamma, ic, expected", [
         (1, ICRecipe(), 18),
         (0, ICRecipe(), 26),
@@ -231,7 +213,7 @@ class TestTransformCount:
     def test_transforms_per_step(self, monkeypatch, gamma, ic, expected):
         cfg = SimConfig(alpha=1.0, gamma=gamma, grid=GridSpec(n=64), dt=1e-3, t_end=1e-3, ic=ic)
         state = initial_state(cfg)
-        assert self.transforms(monkeypatch, lambda: step_rk4(state, cfg)) == expected
+        assert count_transforms(monkeypatch, lambda: step_rk4(state, cfg)) == expected
 
     def test_transforms_per_run_loop_step_at_uniform_density(self, monkeypatch):
         # one pass of run_simulation's loop from a stepped state: each stage
@@ -241,21 +223,21 @@ class TestTransformCount:
         stepper = _Stepper(cfg)
         state = initial_state(cfg)
         state = stepper.step(state, stepper.tendency(state))
-        assert self.transforms(monkeypatch, lambda: stepper.step(state, stepper.tendency(state))) == 20
+        assert count_transforms(monkeypatch, lambda: stepper.step(state, stepper.tendency(state))) == 20
 
 
 class TestStepAllocations:
     """A run-loop step works in its stepper's workspace. At n = 64 it
-    allocates about five half spectra at its peak: the velocity spectra and
-    the density spectrum and samples of the state it returns, and a solve's
-    potential; about three at a constant density, whose field the state
-    keeps."""
+    allocates about four half spectra at its peak: the velocity spectra and
+    the density spectrum and samples of the state it returns; about two at a
+    constant density, whose field the state keeps. A solve's potential stays
+    in the workspace."""
 
-    @pytest.mark.parametrize("doc", [
-        {"physics": {"alpha": 0.5, "gamma": 1}, "grid": {"n": 64}, "time": {"dt": 1e-3, "t_end": 1.0}},
-        bump_run_doc(3.0),
+    @pytest.mark.parametrize("doc, bound", [
+        ({"physics": {"alpha": 0.5, "gamma": 1}, "grid": {"n": 64}, "time": {"dt": 1e-3, "t_end": 1.0}}, 3),
+        (bump_run_doc(3.0), 5),
     ], ids=["uniform", "bump_contrast4"])
-    def test_peak_is_a_few_half_spectra(self, doc):
+    def test_peak_is_a_few_half_spectra(self, doc, bound):
         cfg = build_sim_config(resolve_config(doc))
         stepper = _Stepper(cfg)
         state = initial_state(cfg)
@@ -269,7 +251,7 @@ class TestStepAllocations:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 64 * 33 * 16
+        assert peak <= bound * 64 * 33 * 16
 
 
 class TestConstantDensityIsNotTransported:
@@ -430,7 +412,7 @@ class TestRunSimulation:
             if step % 2 == 0 or step == 5:
                 record_solve = copy.deepcopy(stepper)
                 record_solve.tendency(state)
-                state = replace(state, grad_pi=gradient(record_solve.pi))
+                state = replace(state, grad_pi=gradient(record_solve.potential()))
                 records.append(make_record(state, cfg, bank, records[-1] if records else None))
         assert len(records) == 4
         assert run_simulation(cfg).records == records
@@ -487,6 +469,71 @@ class TestRunSimulation:
     def test_cfl_warning(self):
         with pytest.warns(UserWarning, match="CFL"):
             initial_state(tg_config(n=64, dt=0.2, amplitude=1.0))
+
+
+class TestRecordOnTheRunWorkspace:
+    """run_simulation makes each record on its stepper's workspace, between
+    tendency and step, from the first stage's velocity samples."""
+
+    # a density that varies, and L^p norms of blocks at p = 1, 2, 3 and inf
+    DOC = {
+        "physics": {"alpha": 1.0, "gamma": 0},
+        "grid": {"n": 32},
+        "time": {"dt": 5e-3, "t_end": 0.02},
+        "ic": {"u_preset": "random_shell", "u_params": {"j": 2, "amplitude": 0.25},
+               "rho_preset": "single_mode", "rho_params": {"k": 1, "amplitude": 0.05}},
+        "track": {"besov_indices": [[1, "inf", 1], [0, 2, 2], [0.5, 1, 1], [1, 3, 2]]},
+    }
+
+    @pytest.mark.parametrize("rho_preset", ["single_mode", "constant"])
+    def test_recording_leaves_the_steps_unchanged(self, rho_preset):
+        doc = copy.deepcopy(self.DOC)
+        if rho_preset == "constant":
+            doc["ic"].update(rho_preset="constant", rho_params={})
+        cfg = build_sim_config(resolve_config(doc))
+        bank = build_filter_bank(cfg.grid)
+        runs = []
+        for record in (False, True):
+            stepper, state, prev = _Stepper(cfg), initial_state(cfg), None
+            for _ in range(4):
+                k1 = stepper.tendency(state)
+                if record:
+                    shown = replace(state, grad_pi=gradient(stepper.potential()))
+                    prev = make_record(shown, cfg, bank, prev, stepper.work, stepper.u_samples)
+                state = stepper.step(state, k1)
+            runs.append((state, stepper.telemetry()))
+        (plain, counts), (recorded, recorded_counts) = runs
+        assert counts == recorded_counts
+        for a, b in zip((plain.rho, *plain.u.components), (recorded.rho, *recorded.u.components)):
+            assert a.spectrum.tobytes() == b.spectrum.tobytes()
+
+    def test_record_does_not_depend_on_cached_samples(self):
+        # l2_u and energy come from the velocity samples, whether the state
+        # held them or not; an L^2 norm by Parseval differs in the last bits
+        cfg = build_sim_config(resolve_config(self.DOC))
+        stepper = _Stepper(cfg)
+        state = initial_state(cfg)
+        state = stepper.step(state, stepper.tendency(state))
+        state = replace(state, grad_pi=pressure_gradient(state, cfg))
+        bank = build_filter_bank(cfg.grid)
+        rows = []
+        for cached in (False, True):
+            u = VectorField(ScalarField(cfg.grid, spectrum=c.spectrum) for c in state.u.components)
+            if cached:
+                for c in u.components:
+                    c.values
+            rows.append(np.array(make_record(replace(state, u=u), cfg, bank, None).row()).tobytes())
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("indices", [[[1, "inf", 1]], [[0, 2, 2]]], ids=["b1_tracked", "b1_not_tracked"])
+    def test_initial_norms_are_those_of_the_initial_state(self, indices):
+        # read from the t = 0 record, or formed on the run's workspace when
+        # the record does not track B1: the bits of a pass on the fields
+        doc = copy.deepcopy(self.DOC)
+        doc["track"]["besov_indices"] = indices
+        cfg = build_sim_config(resolve_config(doc))
+        direct = initial_norms(initial_state(cfg), build_filter_bank(cfg.grid))
+        assert [x.hex() for x in astuple(run_simulation(cfg).initial_norms)] == [x.hex() for x in astuple(direct)]
 
 
 class TestRescaledView:

@@ -30,6 +30,7 @@ from dampedeuler.fields import (
     tables,
 )
 from dampedeuler.dynamics import taylor_green
+from dampedeuler.littlewood_paley import build_filter_bank
 from dampedeuler.verify import random_dealiased_field
 
 from conftest import (
@@ -382,18 +383,30 @@ class TestRetainedLattice:
     def dealiased(grid, rng):
         return _fftn(rng.standard_normal(grid.shape)) * _half_tables(grid).dealias_mask
 
-    @pytest.mark.parametrize("n", [8, 64, 256])
+    @pytest.mark.parametrize("n", [8, 64, 128, 256, 512])
     def test_pair_matches_the_masked_half_lattice_pair(self, n):
+        # n = 128 and 512 are the sizes of the records_dense_n128 workload
+        # and of the larger-n working range; each inverse after the first
+        # reuses a buffer that the one before filled
         grid, rng = GridSpec(n=n), np.random.default_rng(n)
         work = Workspace(grid, retained=True)
-        x = rng.standard_normal(grid.shape)
-        forward = work.forward(x, work.spectrum("out"))
-        half = _fftn(x) * _half_tables(grid).dealias_mask
-        assert forward.shape == (2 * grid.k_max + 1, grid.k_max + 1)
-        assert forward.tobytes() == work.gather(half, np.empty_like(forward)).tobytes()
-        assert np.array_equal(work.scatter(forward), half)
-        samples = work.inverse(forward, work.samples("out"))
-        assert samples.tobytes() == _ifftn_real(half).tobytes()
+        for _ in range(3):
+            x = rng.standard_normal(grid.shape)
+            forward = work.forward(x, work.spectrum("out"))
+            half = _fftn(x) * _half_tables(grid).dealias_mask
+            assert forward.shape == (2 * grid.k_max + 1, grid.k_max + 1)
+            assert forward.tobytes() == work.gather(half, np.empty_like(forward)).tobytes()
+            assert np.array_equal(work.scatter(forward), half)
+            samples = work.inverse(forward, work.samples("out"))
+            assert samples.tobytes() == _ifftn_real(half).tobytes()
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_block_profiles_apply_at_the_retained_modes(self, n):
+        grid, rng = GridSpec(n=n), np.random.default_rng(n)
+        work, half = Workspace(grid, retained=True), self.dealiased(grid, rng)
+        for profile in build_filter_bank(grid).phi_profiles:
+            retained = work.apply(work.gather(half, work.spectrum("in")), profile, work.spectrum("out"))
+            assert retained.tobytes() == work.gather(half * profile, np.empty_like(retained)).tobytes()
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
     def test_parseval_sums_match_the_half_lattice(self, n):
