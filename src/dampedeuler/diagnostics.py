@@ -63,55 +63,54 @@ def csv_columns(n_indices: int) -> list[str]:
     return cols
 
 
-def make_record(state, config, bank, prev: DiagnosticsRecord | None, work=None,
-                u_samples=None) -> DiagnosticsRecord:
-    """Evaluate one diagnostics row; the BKM integral extends the previous
-    row by the trapezoid rule.
+def make_record(state, config, bank, prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
+    """Evaluate the diagnostics row of state, whose grad_pi is set: _record
+    on a new workspace on the retained lattice, into whose "state_u_*" and
+    "flux_*" spectra the retained modes of u and grad Pi are gathered."""
+    work = Workspace(config.grid, retained=True)
+    u_hat, g_hat = (tuple(work.gather(c.spectrum, work.spectrum(f"{kind}_{x}"))
+                          for c, x in zip(v.components, "xy"))
+                    for v, kind in ((state.u, "state_u"), (state.grad_pi, "flux")))
+    u_samples = tuple(c.values for c in state.u.components)
+    return _record(state.t, state.rho.values, u_samples, u_hat, g_hat, config, bank, prev, work)
 
-    l2_u and energy are taken from the velocity samples u_samples (default:
-    those of state.u), so a row does not depend on what the state caches.
-    The rest is formed on work, a workspace on the retained lattice
-    (default: a new one): u and grad Pi are gathered once, into its
-    "state_u_*" and "flux_*" spectra, and their dyadic blocks and grad u
-    are formed there and transformed by its pruned inverse, in its
-    "scratch" and "residual" spectra and "u_x" and "u_y" samples, which
-    are written only after u_samples is read. On a run's stepper, between
-    tendency and step, every one of those buffers is idle. Only the
-    retained modes of u and grad Pi are read, as a run's states hold no
-    other. rho - 1 stays on the half lattice: the forward transform of its
-    samples holds roundoff beyond k_max, which its blocks see."""
-    u, rho = state.u, state.rho
-    work = Workspace(u.grid, retained=True) if work is None else work
-    squares = _magnitude(*(u_samples or (c.values for c in u.components))) ** 2
+
+def _record(t, rho, u_samples, u_hat, g_hat, config, bank, prev: DiagnosticsRecord | None,
+            work: Workspace) -> DiagnosticsRecord:
+    """The diagnostics row at time t from the density samples rho, the
+    velocity samples u_samples, and the spectra u_hat of u and g_hat of
+    grad Pi on work's lattice; the BKM integral extends the previous row by
+    the trapezoid rule.
+
+    l2_u and energy are taken from u_samples, so a row does not depend on
+    how the velocity was held. The dyadic blocks of u and grad Pi, and
+    grad u, are formed on work and transformed by its inverse, in its
+    "scratch" and "residual" spectra and "u_x" and "u_y" samples, which are
+    written only after u_samples is read. rho - 1 stays on the half
+    lattice: the forward transform of its samples holds roundoff beyond
+    k_max, which its blocks see."""
+    squares = _magnitude(*u_samples) ** 2
     l2_u = float(math.sqrt(np.mean(squares)))
-    energy = 0.5 * float(np.mean(rho.values * squares))
+    energy = 0.5 * float(np.mean(rho * squares))
     del squares  # freed before the blocks are formed: peak memory
-    u_hat = _gathered(u, work, ("state_u_x", "state_u_y"))
-    g_hat = _gathered(state.grad_pi, work, ("flux_x", "flux_y"))
     g_inf = _grad_inf(u_hat, work)
     if prev is None:
         bkm = 0.0
     else:
-        bkm = prev.bkm_running + 0.5 * (state.t - prev.t) * (g_inf + prev.grad_u_inf)
+        bkm = prev.bkm_running + 0.5 * (t - prev.t) * (g_inf + prev.grad_u_inf)
     return DiagnosticsRecord(
-        t=state.t,
+        t=t,
         l2_u=l2_u,
         besov_u=_besov_norms(bank, u_hat, config.besov_indices, work),
         l2_grad_pi=math.hypot(*(_parseval_l2(g) for g in g_hat)),
         besov_grad_pi=_besov_norms(bank, g_hat, config.besov_indices, work),
-        besov_rho_minus_1=besov_norm(bank, rho + ScalarField.constant(rho.grid, -1.0), B1),
-        rho_min=float(rho.values.min()),
-        rho_max=float(rho.values.max()),
+        besov_rho_minus_1=besov_norm(bank, ScalarField(config.grid, values=rho - 1.0), B1),
+        rho_min=float(rho.min()),
+        rho_max=float(rho.max()),
         energy=energy,
         grad_u_inf=g_inf,
         bkm_running=bkm,
     )
-
-
-def _gathered(v, work, names) -> tuple:
-    """The retained modes of the spectra of the vector field v, gathered
-    into work's spectra of the given names."""
-    return tuple(work.gather(c.spectrum, work.spectrum(name)) for c, name in zip(v.components, names))
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +192,11 @@ class InitialNorms:
         return self.u_l2 + self.u_besov1
 
 
-def initial_norms(state, bank, record: DiagnosticsRecord | None = None, indices=(),
-                  work=None) -> InitialNorms:
+def initial_norms(state, bank, record: DiagnosticsRecord | None = None, indices=()) -> InitialNorms:
     """The norms of the t = 0 state (rho, u) that the conditions use. Given
     the state's record, made with the Besov indices indices, they are read
     from it: its l2_u, its besov_rho_minus_1 and, when B1 is among indices,
-    its B1 norm of u; a B1 norm of u not tracked is formed on work, as
-    make_record forms its blocks."""
+    its B1 norm of u."""
     if record is None:
         rho_m1 = state.rho + ScalarField.constant(state.rho.grid, -1.0)
         return InitialNorms(
@@ -207,11 +204,7 @@ def initial_norms(state, bank, record: DiagnosticsRecord | None = None, indices=
             u_l2=lp_norm(state.u, 2),
             rho_besov1=besov_norm(bank, rho_m1, B1),
         )
-    if B1 in indices:
-        u_besov1 = record.besov_u[list(indices).index(B1)]
-    else:
-        work = Workspace(state.u.grid, retained=True) if work is None else work
-        u_besov1 = _besov_norms(bank, _gathered(state.u, work, ("state_u_x", "state_u_y")), (B1,), work)[0]
+    u_besov1 = record.besov_u[list(indices).index(B1)] if B1 in indices else besov_norm(bank, state.u, B1)
     return InitialNorms(u_besov1=u_besov1, u_l2=record.l2_u, rho_besov1=record.besov_rho_minus_1)
 
 

@@ -10,11 +10,12 @@ with the pressure gradient recovered each stage from the elliptic solve that
 keeps the tendency divergence-free. Stepping is explicit RK4 with a Leray
 projection after each accepted step; damping is integrated inside the
 tendency (it is not stiff for the coefficient sizes of interest). A run's
-stepper (_Stepper) works on the spectra of the modes that the 2/3 rule
-retains, in buffers that it allocates once, and starts each pressure solve
-from the last potential solved plus the increment that the same RK4 stage
-added in the earlier steps, extrapolated; a state's first stage gives both
-its record's grad Pi and its step.
+stepper (_Stepper) holds the run's state on the spectra of the modes that
+the 2/3 rule retains, in buffers that it allocates once, and starts each
+pressure solve from the last potential solved plus the increment that the
+same RK4 stage added in the earlier steps, extrapolated; a state's first
+stage gives both its record's grad Pi and its step. A FluidState is a state
+outside a stepper, on the half lattice of the fields.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from __future__ import annotations
 import inspect
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, InitialNorms, csv_columns, initial_norms, make_record
+from .diagnostics import DiagnosticsRecord, InitialNorms, _record, csv_columns, initial_norms
 from .elliptic import PressureSolveError, PressureSolveParams, coefficient_bounds, solve_pressure
 from .fields import (
     TWO_PI,
@@ -95,11 +96,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class FluidState:
-    """Snapshot (t, rho, u) with an optional cached pressure gradient.
+    """Snapshot (t, rho, u) with an optional cached pressure gradient: a
+    state given to a stepper, or one that leaves it (_Stepper.state).
 
     rho_bounds holds the initial density range; the transport equation
     preserves it up to spectral truncation drift, which _check_invariants
-    asserts on every state _Stepper.step returns.
+    asserts on every state that _Stepper.step holds.
     """
 
     t: float
@@ -259,7 +261,14 @@ def _forcing(ux, uy, u_hat, rho, config: SimConfig, out, work: Workspace):
     spectra out on work's lattice (which may be u_hat), from the samples
     ux, uy and the spectra u_hat of a dealiased velocity and the density
     samples rho; u_hat is read as dealias(u). Writes the "coefficient" samples at gamma = 0,
-    and the scratch of fields._self_advection."""
+    and the scratch of fields._self_advection. div(d_t u) = 0 holds because
+    the pressure solve uses div F as its source.
+
+    u . grad u is taken in flux form, div(u (x) u) (fields.self_advection),
+    which equals it for a divergence-free u: states are Leray-projected, and
+    a stage velocity adds tendencies whose divergence is the pressure solve's
+    residual. The density is transported in convective form (density_rhs),
+    so a constant density keeps a zero tendency, bit for bit."""
     if config.gamma == 1:
         for u, f in zip(u_hat, out):
             np.multiply(u, config.alpha, out=f)
@@ -273,35 +282,17 @@ def _forcing(ux, uy, u_hat, rho, config: SimConfig, out, work: Workspace):
     return out
 
 
-def momentum_forcing(state: FluidState, config: SimConfig) -> VectorField:
-    """F = u . grad u + alpha rho^(gamma-1) u, dealiased; div(d_t u) = 0 holds
-    because the pressure solve uses div F as its source.
-
-    u . grad u is taken in flux form, div(u (x) u) (fields.self_advection),
-    which equals it for a divergence-free u: states are Leray-projected, and
-    a stage velocity adds tendencies whose divergence is the pressure solve's
-    residual. The density is transported in convective form (density_rhs),
-    so a constant density keeps a zero tendency, bit for bit; density_rhs
-    returns that zero without transport."""
-    grid = state.rho.grid
-    ux, uy = (c.values for c in state.u.components)
-    u_hat = tuple(c.spectrum for c in dealias(state.u).components)
-    out = _forcing(ux, uy, u_hat, state.rho.values, config, (_new_spectrum(grid), _new_spectrum(grid)),
-                   Workspace(grid))
-    return VectorField(ScalarField(grid, spectrum=f) for f in out)
-
-
 def pressure_gradient(state: FluidState, config: SimConfig) -> VectorField:
     """Pressure gradient consistent with the current state."""
-    stepper = _Stepper(config)
-    stepper.tendency(state)
+    stepper = _Stepper(config, state)
+    stepper.tendency()
     return gradient(stepper.potential())
 
 
 def momentum_rhs(state: FluidState, config: SimConfig) -> VectorField:
     """Velocity tendency -u . grad u - (1/rho) grad Pi - alpha rho^(gamma-1) u."""
-    stepper = _Stepper(config)
-    stepper.tendency(state)
+    stepper = _Stepper(config, state)
+    stepper.tendency()
     work = stepper.work
     return VectorField(ScalarField(config.grid, spectrum=work.scatter(work.spectrum(f"k1_{c}")))
                        for c in ("u_x", "u_y"))
@@ -399,83 +390,59 @@ def _rk4(evaluate, t: float, a: tuple, dt: float, k: tuple, y: tuple, scratch: n
         np.add(x, ks, out=ks)
 
 
-def _check_invariants(state: FluidState, work: Workspace | None = None, u_hat: tuple | None = None) -> None:
-    """Abort on a density outside its initial bounds (to DENSITY_DRIFT_TOL),
-    a non-finite state, or a divergence above DIV_DRIFT_TOL * |u|; the
-    divergence is formed in work's "residual" spectrum from u_hat, the
-    velocity's spectra on work's lattice (without work, the state's half
-    spectra)."""
-    lo, hi = state.rho_bounds
-    rho_min = float(state.rho.values.min())
-    rho_max = float(state.rho.values.max())
+def _check_invariants(t: float, rho: np.ndarray, u_hat: tuple, rho_bounds: tuple, work: Workspace) -> None:
+    """Abort on density samples rho outside rho_bounds, the initial range (to
+    DENSITY_DRIFT_TOL), a non-finite state, or a divergence above
+    DIV_DRIFT_TOL * |u|, where u_hat are the velocity's spectra on work's
+    lattice; the divergence is formed in work's "residual" spectrum."""
+    lo, hi = rho_bounds
+    rho_min = float(rho.min())
+    rho_max = float(rho.max())
     if not (math.isfinite(rho_min) and math.isfinite(rho_max)):
-        raise InvariantViolation(f"density not finite at t = {state.t:.6g}")
+        raise InvariantViolation(f"density not finite at t = {t:.6g}")
     if rho_min < lo * (1.0 - DENSITY_DRIFT_TOL) - DENSITY_DRIFT_TOL * hi:
         raise InvariantViolation(
             f"density minimum drifted below its initial bound: "
-            f"{rho_min:.12g} < {lo:.12g} at t = {state.t:.6g}"
+            f"{rho_min:.12g} < {lo:.12g} at t = {t:.6g}"
         )
     if rho_max > hi * (1.0 + DENSITY_DRIFT_TOL) + DENSITY_DRIFT_TOL * hi:
         raise InvariantViolation(
             f"density maximum drifted above its initial bound: "
-            f"{rho_max:.12g} > {hi:.12g} at t = {state.t:.6g}"
+            f"{rho_max:.12g} > {hi:.12g} at t = {t:.6g}"
         )
-    if work is None:
-        work, u_hat = Workspace(state.u.grid), tuple(c.spectrum for c in state.u.components)
-    u_norm = lp_norm(state.u, 2)
+    u_norm = math.hypot(*(_parseval_l2(u) for u in u_hat))
     div_norm = _parseval_l2(_divergence(*u_hat, work.spectrum("residual"), work))
     if not (math.isfinite(u_norm) and math.isfinite(div_norm)):
-        raise InvariantViolation(f"velocity not finite at t = {state.t:.6g}")
+        raise InvariantViolation(f"velocity not finite at t = {t:.6g}")
     if div_norm > DIV_DRIFT_TOL * max(u_norm, 1e-300):
         raise InvariantViolation(
             f"divergence drift {div_norm:.3e} exceeds {DIV_DRIFT_TOL:.0e} * |u| "
-            f"at t = {state.t:.6g}"
+            f"at t = {t:.6g}"
         )
 
 
-def _checked_record(state: FluidState, config: SimConfig, bank, prev: DiagnosticsRecord | None,
-                    stepper: _Stepper) -> DiagnosticsRecord:
-    """make_record on the stepper's workspace, from the first stage that it
-    holds of state, where an overflow or a non-finite value is an
-    InvariantViolation that names the operation or the column, and t."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            record = make_record(state, config, bank, prev, stepper.work, stepper.u_samples)
-    except FloatingPointError as exc:
-        raise InvariantViolation(f"diagnostics not finite at t = {state.t:.6g}: {exc}") from None
-    for name, value in zip(csv_columns(len(config.besov_indices)), record.row()):
-        if not math.isfinite(value):
-            raise InvariantViolation(f"diagnostics not finite at t = {state.t:.6g}: {name} = {value}")
-    return record
-
-
 class _Stepper:
-    """A run's stepping context.
+    """A run's stepping context, which holds the run's state.
 
     It owns a Workspace (fields) on the retained lattice of the 2/3 rule,
-    (2 k_max + 1, k_max + 1), that holds for the whole run the spectra of
-    the RK4 stages and the scratch of every kernel that a stage calls: the
-    stage state, the flux-form products, the damping, the density
-    transport, the whole pressure solve and the RK4 sum. Its first stage
-    gathers the retained modes of the state's spectra, and takes the
-    velocity samples from them into the "u_x" and "u_y" samples, unless the
-    state holds its own (u_samples names the pair); of a state's spectra
-    the stepper reads only the retained modes. step scatters the spectra of
-    the state it returns into half-lattice fields, which own them. Each
-    solve leaves its potential in the "potential" spectrum, and the stepper
-    copies it to "last_potential"; potential() scatters that into a field
-    when something asks for one (a record, pressure_gradient). So a step
-    allocates only the arrays of the state it returns, and the buffers
-    never leave the stepper. At a constant density (fields._uniform) the
-    density keeps the state's own field at every stage and in the state
-    returned, every stage reuses the first stage's coefficient bounds, and
-    the zero tendency is not formed.
+    (2 k_max + 1, k_max + 1), that holds for the whole run the state's
+    spectra ("state_*"), the spectra of the RK4 stages and the scratch of
+    every kernel that a stage calls. The retained modes of the given state
+    are gathered once; no other mode of it is read. The stepper also holds
+    t, the initial density range rho_bounds and the density samples, which
+    a step that changes the density copies into the "state_density"
+    samples. Until a step changes them, the given fields stand for the held
+    ones: state() returns them, and the first stage reads the velocity
+    samples they hold. step advances the held state in place, so it
+    allocates no array of the grid's size; state() scatters it into
+    half-lattice fields where a state leaves the stepper. At a constant
+    density (fields._uniform) the density is not stepped, every stage
+    reuses the first stage's coefficient bounds, and the zero tendency is
+    not formed.
 
-    Between tendency and step the first stage lives in the "k1_*", "state_*",
-    "potential", "last_potential" and increment spectra, and in u_samples.
-    Every other buffer is idle, and a record (diagnostics.make_record) may
-    write it once it has read u_samples: step writes each of them before it
-    reads it.
+    tendency evaluates the held state's first stage once, into the "k1"
+    spectra and u_samples; record and step read it. Each solve leaves its
+    potential in the "potential" spectrum, copied to "last_potential".
 
     Each pressure solve starts from a guess (the converged potential does
     not depend on it) built from the last potential solved: by a state's
@@ -488,15 +455,21 @@ class _Stepper:
     never does at uniform density. solves, iterations and max_iterations
     count the converged solves."""
 
-    def __init__(self, config: SimConfig):
+    def __init__(self, config: SimConfig, state: FluidState):
         self.config = config
         self.work = Workspace(config.grid, retained=True)
         self.increments = {}  # stage -> work spectra (D_s(m-1), D_s(m-2) or None)
         self.solves = self.iterations = self.max_iterations = 0
-        self.uniform = False  # the density of the state last given to tendency is constant
-        self.bounds = None  # that density's coefficient bounds
-        self.first_stage_of = None  # that state, whose first stage the "k1" spectra hold
-        self.u_samples = None  # its velocity samples
+        self.t, self.rho, self.u = state.t, state.rho, state.u  # the given fields, until a step changes them
+        self.density = state.rho.values
+        lo, hi = float(self.density.min()), float(self.density.max())
+        self.rho_bounds = state.rho_bounds or (lo, hi)
+        self.uniform = _uniform(lo, hi)  # the held density is constant
+        self.bounds = None  # its coefficient bounds, from the first stage
+        for f, held in zip((state.rho, *state.u.components)[self.uniform:], self._spectra("state")):
+            self.work.gather(f.spectrum, held)
+        self.evaluated = False  # the "k1" spectra hold the held state's first stage
+        self.u_samples = None  # the velocity samples of the last stage evaluated
 
     def _spectra(self, kind: str) -> tuple:
         """The work spectra of kind "state", "k1" or "stage": (rho, u_x, u_y),
@@ -505,11 +478,23 @@ class _Stepper:
         return tuple(self.work.spectrum(f"{kind}_{name}") for name in names)
 
     def potential(self) -> ScalarField:
-        """The last potential solved, after tendency(state) the first-stage
-        potential of state, as a half-lattice field of its own."""
+        """The last potential solved, after tendency the first-stage
+        potential of the held state, as a half-lattice field of its own."""
         if not self.solves:
             raise ValueError("no pressure solve has been made")
         return ScalarField(self.config.grid, spectrum=self.work.scatter(self.work.spectrum("last_potential")))
+
+    def state(self) -> FluidState:
+        """The held state in half-lattice fields (the given ones until a step
+        changes them), with the gradient of its first-stage potential once
+        tendency has evaluated it, else with grad_pi None."""
+        work, grid = self.work, self.config.grid
+        rho = self.rho or ScalarField(grid, values=self.density.copy(),
+                                      spectrum=work.scatter(work.spectrum("state_rho")))
+        u = self.u or VectorField(ScalarField(grid, spectrum=work.scatter(c))
+                                  for c in self._spectra("state")[-2:])
+        grad_pi = gradient(self.potential()) if self.evaluated else None
+        return FluidState(t=self.t, rho=rho, u=u, grad_pi=grad_pi, rho_bounds=self.rho_bounds)
 
     def guess(self, stage: int) -> np.ndarray | None:
         """The initial guess of the solve of RK4 stage 1..4, in work's
@@ -529,17 +514,17 @@ class _Stepper:
             np.add(pi, guess, out=guess)
         return guess
 
-    def _evaluate(self, stage: int, t: float, state: FluidState) -> None:
-        """(d_t rho, d_t u) of RK4 stage 1..4 at time t. Stage 1 reads state,
-        gathers its spectra into the "state" spectra and writes the "k1"
-        spectra; a later stage reads its stage state from the "stage"
-        spectra and writes its tendency over it. The solve starts from
-        guess(stage) and leaves the new potential in "last_potential"."""
+    def _evaluate(self, stage: int, t: float) -> None:
+        """(d_t rho, d_t u) of RK4 stage 1..4 at time t. Stage 1 reads the
+        held state and writes the "k1" spectra; a later stage reads its
+        stage state from the "stage" spectra and writes its tendency over
+        it. The solve starts from guess(stage) and leaves the new potential
+        in "last_potential"."""
         work = self.work
-        if stage > 1 and self.uniform:  # the state's own density, as at stage 1
-            rho, bounds = state.rho.values, self.bounds
+        if stage > 1 and self.uniform:  # the held density, as at stage 1
+            rho, bounds = self.density, self.bounds
         else:
-            rho = (state.rho.values if stage == 1
+            rho = (self.density if stage == 1
                    else work.inverse(work.spectrum("stage_rho"), work.samples("density")))
             try:
                 bounds = coefficient_bounds(rho)
@@ -547,18 +532,13 @@ class _Stepper:
                 raise InvariantViolation(f"stage {exc} at t = {t:.6g}") from None
         if stage == 1:
             self.uniform, self.bounds = bounds.uniform, bounds
-            out, given = self._spectra("k1"), state.u.components
-            if not self.uniform:
-                given = (state.rho, *given)
-            a = tuple(work.gather(f.spectrum, x) for f, x in zip(given, self._spectra("state")))
-            rho_hat, u_hat = None if self.uniform else a[0], a[-2:]
-            ux, uy = self.u_samples = tuple(
-                work.inverse(u, work.samples(name)) if c.cached_values is None else c.cached_values
-                for c, u, name in zip(state.u.components, u_hat, ("u_x", "u_y")))
+            a, out = self._spectra("state"), self._spectra("k1")
         else:
-            out = self._spectra("stage")
-            rho_hat, u_hat = None if self.uniform else out[0], out[-2:]
-            ux, uy = (work.inverse(u, work.samples(name)) for u, name in zip(u_hat, ("u_x", "u_y")))
+            a = out = self._spectra("stage")
+        rho_hat, u_hat = None if self.uniform else a[0], a[-2:]
+        given = (c.cached_values for c in self.u.components) if stage == 1 and self.u else (None, None)
+        ux, uy = self.u_samples = tuple(work.inverse(u, work.samples(name)) if v is None else v
+                                        for u, name, v in zip(u_hat, ("u_x", "u_y"), given))
         forcing = _forcing(ux, uy, u_hat, rho, self.config, out[-2:], work)
         warm = not bounds.uniform
         sol = solve_pressure(rho, forcing, self.config.pressure,
@@ -579,36 +559,53 @@ class _Stepper:
         if not self.uniform:
             np.multiply(advect(ux, uy, rho_hat, out[0], work), -1.0, out=out[0])
 
-    def tendency(self, state: FluidState) -> FluidState:
-        """Evaluate RK4 stage 1 at state into the workspace. Returns state, the
-        k1 that step takes: the mark of the state whose first stage is held."""
-        self.first_stage_of = self.u_samples = None
-        self._evaluate(1, state.t, state)
-        self.first_stage_of = state
-        return state
+    def tendency(self) -> None:
+        """Evaluate RK4 stage 1 at the held state, unless it is evaluated."""
+        if not self.evaluated:
+            self._evaluate(1, self.t)
+            self.evaluated = True
 
-    def step(self, state: FluidState, k1: FluidState) -> FluidState:
-        """One RK4 step from state, given k1 = tendency(state) (or of a copy of
-        state, such as the one its record replaces)."""
-        if k1 is not self.first_stage_of:
-            raise ValueError("k1 is not the first stage that this stepper holds")
-        self.first_stage_of = self.u_samples = None  # the RK4 sum overwrites them
-        cfg, work, grid = self.config, self.work, self.config.grid
-        bounds = state.rho_bounds or (float(state.rho.values.min()), float(state.rho.values.max()))
+    def step(self) -> None:
+        """One RK4 step of the held state, from its first stage. The new
+        state is held only once _check_invariants has passed it, so a step
+        that fails leaves the last good state held."""
+        self.tendency()
+        self.evaluated = False  # the RK4 sum overwrites the first stage
+        cfg, work = self.config, self.work
         k, y = self._spectra("k1"), self._spectra("stage")
-        _rk4(lambda stage, t: self._evaluate(stage, t, state), state.t, self._spectra("state"), cfg.dt, k,
-             y, work.spectrum("scratch"))
-        if self.uniform:  # the density is the state's, unchanged
-            rho = state.rho
-        else:
-            rho = ScalarField(grid, values=work.inverse(k[0], np.empty(grid.shape)),
-                              spectrum=work.scatter(k[0]))
+        _rk4(self._evaluate, self.t, self._spectra("state"), cfg.dt, k, y, work.spectrum("scratch"))
+        t = self.t + cfg.dt
+        rho = self.density if self.uniform else work.inverse(k[0], work.samples("density"))
         # the velocity sum holds retained modes only, so it is dealiased already
         u = _leray_project(*k[-2:], *y[-2:], work)
-        u_new = VectorField(ScalarField(grid, spectrum=work.scatter(c)) for c in u)
-        new = FluidState(t=state.t + cfg.dt, rho=rho, u=u_new, rho_bounds=bounds)
-        _check_invariants(new, work, u)
-        return new
+        _check_invariants(t, rho, u, self.rho_bounds, work)
+        for held, new in zip(self._spectra("state"), (*k[:-2], *u)):
+            np.copyto(held, new)
+        if not self.uniform:
+            self.rho, self.density = None, work.samples("state_density")
+            np.copyto(self.density, rho)
+        self.t, self.u = t, None
+
+    def record(self, bank, prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
+        """The diagnostics row of the held state (diagnostics._record), from
+        its first stage: its velocity samples, and grad Pi from its
+        potential, in the "flux_x" and "flux_y" spectra. An overflow or a
+        non-finite value is an InvariantViolation that names the operation
+        or the column, and t."""
+        self.tendency()
+        work, t = self.work, self.t
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                g_hat = tuple(np.multiply(work.spectrum("last_potential"), d, out=work.spectrum(name))
+                              for d, name in ((work.tables.ddx, "flux_x"), (work.tables.ddy, "flux_y")))
+                record = _record(t, self.density, self.u_samples, self._spectra("state")[-2:], g_hat,
+                                 self.config, bank, prev, work)
+        except FloatingPointError as exc:
+            raise InvariantViolation(f"diagnostics not finite at t = {t:.6g}: {exc}") from None
+        for name, value in zip(csv_columns(len(self.config.besov_indices)), record.row()):
+            if not math.isfinite(value):
+                raise InvariantViolation(f"diagnostics not finite at t = {t:.6g}: {name} = {value}")
+        return record
 
     def telemetry(self) -> dict:
         """The counts of the solves made, for the run's summary."""
@@ -625,8 +622,9 @@ def step_rk4(state: FluidState, config: SimConfig) -> FluidState:
     O(dt^5) divergence drift, and the density/velocity stay truncated to
     retained modes. State invariants are asserted on the result.
     """
-    stepper = _Stepper(config)
-    return stepper.step(state, stepper.tendency(state))
+    stepper = _Stepper(config, state)
+    stepper.step()
+    return stepper.state()
 
 
 # ---------------------------------------------------------------------------
@@ -651,28 +649,27 @@ def run_simulation(config: SimConfig) -> SimulationResult:
     steps (plus the final step). Deterministic for a fixed config and seed.
 
     On an invariant or solver failure the rows collected so far are returned
-    with the failure recorded.
+    with the failure recorded, and the final state is the last one that
+    passed its invariants.
     """
     bank = build_filter_bank(config.grid)
-    state = initial_state(config)
+    stepper = _Stepper(config, initial_state(config))
     n_steps = _step_count(config.t_end, config.dt, config.record_every)
 
-    stepper, records, norms, failure = _Stepper(config), [], None, None
+    records, norms, failure = [], None, None
     try:
         for step in range(n_steps + 1):
             if step:
-                state = stepper.step(state, k1)
-            k1 = stepper.tendency(state)
+                stepper.step()
             if step % config.record_every == 0 or step == n_steps:
-                state = replace(state, grad_pi=gradient(stepper.potential()))
-                records.append(_checked_record(state, config, bank, records[-1] if records else None, stepper))
+                records.append(stepper.record(bank, records[-1] if records else None))
                 if step == 0:  # the initial norms are read from the t = 0 record
-                    norms = initial_norms(state, bank, records[0], config.besov_indices, stepper.work)
+                    norms = initial_norms(stepper.state(), bank, records[0], config.besov_indices)
     except (InvariantViolation, PressureSolveError) as exc:
         failure = str(exc)
-    if norms is None:  # the t = 0 record failed, so state is the initial state
-        norms = initial_norms(state, bank)
-    return SimulationResult(records, state, norms, failure, stepper.telemetry())
+    if norms is None:  # the t = 0 record failed, so the stepper holds the initial state
+        norms = initial_norms(stepper.state(), bank)
+    return SimulationResult(records, stepper.state(), norms, failure, stepper.telemetry())
 
 
 def solve_linear_transport(

@@ -189,11 +189,9 @@ def solve_pressure(
     again) and initial_guess None or a spectrum on work's lattice. The solve
     runs on work's lattice in work's "potential" spectrum, where it copies
     the guess (the stepper writes its guess there, which saves the copy) and
-    leaves the potential's spectrum. It returns no potential field then
-    (pi is None): the caller reads the potential in work, and scatters it
-    into a half-lattice field only if something asks for one. accel is the
-    pair of work's "flux_x" and "flux_y" spectra, which the caller reads
-    before the next kernel writes them.
+    leaves the potential's spectrum; it returns no potential field then
+    (pi is None). accel is the pair of work's "flux_x" and "flux_y"
+    spectra, which the caller reads before the next kernel writes them.
     """
     field_api = work is None
     if field_api:

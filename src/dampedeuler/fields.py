@@ -444,7 +444,7 @@ class ScalarField:
 class VectorField:
     """Pair of ScalarField components on one grid. Whether a field is
     divergence-free is not recorded here: the stepper asserts it of every
-    state it returns (dynamics._check_invariants)."""
+    state it holds (dynamics._check_invariants)."""
 
     __slots__ = ("components",)
 

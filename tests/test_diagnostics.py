@@ -22,7 +22,6 @@ from dampedeuler.diagnostics import (
 )
 from dampedeuler.config import build_sim_config, resolve_config
 from dampedeuler.dynamics import _Stepper, initial_state, pressure_gradient
-from dampedeuler.fields import gradient
 from dampedeuler.littlewood_paley import build_filter_bank
 
 from conftest import count_transforms
@@ -311,27 +310,22 @@ class TestRecordTransformCount:
 
 
 class TestRecordAllocations:
-    """A record of a run works in its stepper's workspace: at n = 128 its
-    peak is about five half spectra (the velocity magnitude's squares and
-    the half-lattice pass over rho - 1), where a pass over fields of blocks
-    took about eight."""
+    """A record of a run works in its stepper's workspace, on the state that
+    the stepper holds: at n = 128 its peak is about five half spectra (the
+    velocity magnitude's squares and the half-lattice pass over rho - 1),
+    where a pass over fields of blocks took about eight."""
 
     def test_peak_is_a_few_half_spectra(self):
         config = build_sim_config(resolve_config(TestRecordTransformCount.DENSE_N128))
-        stepper, state = _Stepper(config), initial_state(config)
-        state = stepper.step(state, stepper.tendency(state))
-        stepper.tendency(state)
-        state = replace(state, grad_pi=gradient(stepper.potential()))
+        stepper = _Stepper(config, initial_state(config))
         bank = build_filter_bank(config.grid)
-
-        def record():
-            return make_record(state, config, bank, None, stepper.work, stepper.u_samples)
-
-        record()  # the workspace's buffers are built
+        stepper.record(bank, None)  # the workspace's buffers are built
+        stepper.step()
+        stepper.tendency()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            record()
+            stepper.record(bank, None)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -37,11 +37,11 @@ from dampedeuler.fields import (
     ParameterError,
     ScalarField,
     VectorField,
+    Workspace,
     _half_tables,
     advect,
     curl2d,
     divergence,
-    gradient,
     lp_norm,
 )
 from dampedeuler.littlewood_paley import build_filter_bank
@@ -142,12 +142,11 @@ class TestFailLoudly:
         state = initial_state(tg_config())
         vx = state.u.components[0].values.copy()
         vx[3, 5] = np.nan
-        bad = FluidState(
-            t=0.5, rho=state.rho, u=VectorField.from_arrays(grid64, vx, state.u.components[1].values),
-            rho_bounds=state.rho_bounds,
-        )
+        bad = VectorField.from_arrays(grid64, vx, state.u.components[1].values)
+        work = Workspace(grid64, retained=True)
+        u_hat = tuple(work.gather(c.spectrum, work.spectrum(f"u_{x}")) for c, x in zip(bad.components, "xy"))
         with pytest.raises(InvariantViolation, match="velocity not finite at t = 0.5"):
-            _check_invariants(bad)
+            _check_invariants(0.5, state.rho.values, u_hat, state.rho_bounds, work)
 
     @pytest.mark.parametrize("bad_value", [np.nan, 0.0])
     def test_bad_stage_density_is_an_invariant_violation(self, grid64, bad_value):
@@ -216,42 +215,69 @@ class TestTransformCount:
         assert count_transforms(monkeypatch, lambda: step_rk4(state, cfg)) == expected
 
     def test_transforms_per_run_loop_step_at_uniform_density(self, monkeypatch):
-        # one pass of run_simulation's loop from a stepped state: each stage
-        # density rho + c * 0 keeps its samples, so coefficient_bounds reads
-        # them with no inverse transform
+        # one pass of run_simulation's loop from a stepped state, a step with
+        # the first stage it evaluates: every stage reads the held density
+        # samples, so coefficient_bounds needs no inverse transform
         cfg = tg_config(n=64)
-        stepper = _Stepper(cfg)
-        state = initial_state(cfg)
-        state = stepper.step(state, stepper.tendency(state))
-        assert count_transforms(monkeypatch, lambda: stepper.step(state, stepper.tendency(state))) == 20
+        stepper = _Stepper(cfg, initial_state(cfg))
+        stepper.step()
+        assert count_transforms(monkeypatch, stepper.step) == 20
 
 
 class TestStepAllocations:
-    """A run-loop step works in its stepper's workspace. At n = 64 it
-    allocates about four half spectra at its peak: the velocity spectra and
-    the density spectrum and samples of the state it returns; about two at a
-    constant density, whose field the state keeps. A solve's potential stays
-    in the workspace."""
+    """A run-loop step works in its stepper's workspace, on the state that
+    the stepper holds there. At n = 64 it allocates less than one half
+    spectrum at its peak, at a constant density or not: the new state's
+    spectra and density samples are copied into the held ones, and a
+    solve's potential stays in the workspace."""
 
-    @pytest.mark.parametrize("doc, bound", [
-        ({"physics": {"alpha": 0.5, "gamma": 1}, "grid": {"n": 64}, "time": {"dt": 1e-3, "t_end": 1.0}}, 3),
-        (bump_run_doc(3.0), 5),
+    @pytest.mark.parametrize("doc", [
+        {"physics": {"alpha": 0.5, "gamma": 1}, "grid": {"n": 64}, "time": {"dt": 1e-3, "t_end": 1.0}},
+        bump_run_doc(3.0),
     ], ids=["uniform", "bump_contrast4"])
-    def test_peak_is_a_few_half_spectra(self, doc, bound):
+    def test_peak_is_a_few_half_spectra(self, doc):
         cfg = build_sim_config(resolve_config(doc))
-        stepper = _Stepper(cfg)
-        state = initial_state(cfg)
+        stepper = _Stepper(cfg, initial_state(cfg))
         for _ in range(3):  # the workspace and the guess history are built
-            state = stepper.step(state, stepper.tendency(state))
-        k1 = stepper.tendency(state)
+            stepper.step()
+        stepper.tendency()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            stepper.step(state, k1)
+            stepper.step()
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= bound * 64 * 33 * 16
+        assert peak <= 64 * 33 * 16
+
+
+class TestLatticeCrossings:
+    """A run gathers its initial state onto its stepper's lattice once and
+    scatters a state only where one leaves the stepper, so its counts of
+    Workspace.gather and Workspace.scatter calls do not grow with its steps
+    or records. A retained forward transform gathers its own rows; those
+    calls are not crossings and are not counted."""
+
+    @pytest.mark.parametrize("ic", [
+        ICRecipe(),
+        ICRecipe(rho_preset="single_mode", rho_params={"k": 1, "amplitude": 0.2}),
+    ], ids=["uniform", "single_mode"])
+    def test_counts_do_not_grow_with_the_run(self, monkeypatch, ic):
+        def crossings(n_steps):
+            cfg = SimConfig(alpha=0.5, gamma=1, grid=GridSpec(n=16), dt=1e-3, t_end=n_steps * 1e-3, ic=ic)
+            calls = dict.fromkeys(("gather", "scatter", "forward"), 0)
+            for name in calls:
+                def counted(work, *args, _name=name, _method=getattr(Workspace, name)):
+                    calls[_name] += work.retained
+                    return _method(work, *args)
+
+                monkeypatch.setattr(Workspace, name, counted)
+            result = run_simulation(cfg)
+            monkeypatch.undo()
+            assert not result.failed and len(result.records) == n_steps + 1
+            return calls["gather"] - calls["forward"], calls["scatter"]
+
+        assert crossings(2) == crossings(6)
 
 
 class TestConstantDensityIsNotTransported:
@@ -401,19 +427,18 @@ class TestRunSimulation:
         # reference loop: one stepper carries the run's warm-start history
         # (last potential and stage increments) through the steps, and each
         # record solves its own pressure on a copy of it, so that the record's
-        # solve starts from the same guess as its state's first stage
+        # solve starts from the same guess as its state's first stage; the
+        # field-level make_record forms the row from the copy's state
         cfg = self._records_config()
         bank = build_filter_bank(cfg.grid)
-        state = initial_state(cfg)
-        records, stepper = [], _Stepper(cfg)
+        records, stepper = [], _Stepper(cfg, initial_state(cfg))
         for step in range(6):
             if step:
-                state = stepper.step(state, stepper.tendency(state))
+                stepper.step()
             if step % 2 == 0 or step == 5:
                 record_solve = copy.deepcopy(stepper)
-                record_solve.tendency(state)
-                state = replace(state, grad_pi=gradient(record_solve.potential()))
-                records.append(make_record(state, cfg, bank, records[-1] if records else None))
+                record_solve.tendency()
+                records.append(make_record(record_solve.state(), cfg, bank, records[-1] if records else None))
         assert len(records) == 4
         assert run_simulation(cfg).records == records
 
@@ -451,16 +476,39 @@ class TestRunSimulation:
         assert len(res.records) == 0  # fails in the very first record's solve
 
     def test_non_finite_record_is_a_failure_naming_its_column(self, monkeypatch):
-        from dampedeuler import dynamics
+        kernel = dynamics._record
 
-        def overflowing(state, *args):
-            record = make_record(state, *args)
-            return replace(record, besov_grad_pi=(math.inf,)) if state.t > 0 else record
+        def overflowing(t, *args):
+            record = kernel(t, *args)
+            return replace(record, besov_grad_pi=(math.inf,)) if t > 0 else record
 
-        monkeypatch.setattr(dynamics, "make_record", overflowing)
+        monkeypatch.setattr(dynamics, "_record", overflowing)
         res = run_simulation(tg_config(alpha=0.5, n=32, dt=2e-3, t_end=0.01, record_every=2))
         assert res.failure == "diagnostics not finite at t = 0.004: besov_gradPi_0 = inf"
         assert len(res.records) == 1
+
+    def test_failed_run_ends_on_its_last_good_state(self, monkeypatch):
+        # the third step fails its invariants, after its RK4 sum: the run
+        # ends on the state of the second step, as a run cut there does
+        cfg = self._records_config()
+        check, calls = dynamics._check_invariants, []
+
+        def failing_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise InvariantViolation("injected")
+            check(*args)
+
+        monkeypatch.setattr(dynamics, "_check_invariants", failing_third)
+        failed = run_simulation(cfg)
+        monkeypatch.undo()
+        assert failed.failure == "injected"
+        cut = run_simulation(replace(cfg, t_end=0.004)).final_state
+        last = failed.final_state
+        assert last.t.hex() == cut.t.hex() == (0.004).hex()
+        for a, b in zip((last.rho, *last.u.components), (cut.rho, *cut.u.components)):
+            assert a.spectrum.tobytes() == b.spectrum.tobytes()
+            assert a.values.tobytes() == b.values.tobytes()
 
     def test_failed_is_read_from_failure(self):
         assert SimulationResult([], None, None, failure="stalled").failed
@@ -472,8 +520,8 @@ class TestRunSimulation:
 
 
 class TestRecordOnTheRunWorkspace:
-    """run_simulation makes each record on its stepper's workspace, between
-    tendency and step, from the first stage's velocity samples."""
+    """run_simulation makes each record on its stepper's workspace, from the
+    first stage of the state that the stepper holds."""
 
     # a density that varies, and L^p norms of blocks at p = 1, 2, 3 and inf
     DOC = {
@@ -494,14 +542,12 @@ class TestRecordOnTheRunWorkspace:
         bank = build_filter_bank(cfg.grid)
         runs = []
         for record in (False, True):
-            stepper, state, prev = _Stepper(cfg), initial_state(cfg), None
+            stepper, prev = _Stepper(cfg, initial_state(cfg)), None
             for _ in range(4):
-                k1 = stepper.tendency(state)
                 if record:
-                    shown = replace(state, grad_pi=gradient(stepper.potential()))
-                    prev = make_record(shown, cfg, bank, prev, stepper.work, stepper.u_samples)
-                state = stepper.step(state, k1)
-            runs.append((state, stepper.telemetry()))
+                    prev = stepper.record(bank, prev)
+                stepper.step()
+            runs.append((stepper.state(), stepper.telemetry()))
         (plain, counts), (recorded, recorded_counts) = runs
         assert counts == recorded_counts
         for a, b in zip((plain.rho, *plain.u.components), (recorded.rho, *recorded.u.components)):
@@ -511,9 +557,9 @@ class TestRecordOnTheRunWorkspace:
         # l2_u and energy come from the velocity samples, whether the state
         # held them or not; an L^2 norm by Parseval differs in the last bits
         cfg = build_sim_config(resolve_config(self.DOC))
-        stepper = _Stepper(cfg)
-        state = initial_state(cfg)
-        state = stepper.step(state, stepper.tendency(state))
+        stepper = _Stepper(cfg, initial_state(cfg))
+        stepper.step()
+        state = stepper.state()
         state = replace(state, grad_pi=pressure_gradient(state, cfg))
         bank = build_filter_bank(cfg.grid)
         rows = []
