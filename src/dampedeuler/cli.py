@@ -16,7 +16,6 @@ import copy
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .config import (ConfigError, build_sim_config, load_config, named_keys, resolve_config,
@@ -35,7 +34,6 @@ from .diagnostics import (
 )
 from .dynamics import initial_state, run_simulation
 from .littlewood_paley import build_filter_bank
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -186,6 +184,14 @@ def cmd_check(config_path: str) -> int:
     return EXIT_OK if verdict.satisfied else EXIT_NOT_SATISFIED
 
 
+def run_verification(level: str) -> list:
+    """verify.run_verification, imported on the first call, so that the
+    other commands do not load the self-checks."""
+    from .verify import run_verification
+
+    return run_verification(level)
+
+
 def cmd_verify(level: str) -> int:
     checks = run_verification(level)
     width = max(len(c.name) for c in checks)
@@ -250,6 +256,8 @@ def cmd_sweep(config_path: str, param: str, values: list, out_dir: str) -> int:
     if max_workers == 1:
         summaries = [_run_to_dir(doc, d) for doc, d in zip(docs, dirs)]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loaded by sweep alone
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             summaries = list(pool.map(_run_to_dir, docs, dirs))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ParameterError, ScalarField, Workspace, _grad_inf, _magnitude, _parseval_l2, lp_norm
-from .littlewood_paley import B1, _besov_norms, besov_norm
+from .littlewood_paley import B1, _b1_norm_of_samples, _besov_norms, besov_norm
 
 LOG_HUGE = 700.0  # exp threshold before float overflow
 
@@ -83,16 +83,25 @@ def _record(t, rho, u_samples, u_hat, g_hat, config, bank, prev: DiagnosticsReco
     the trapezoid rule.
 
     l2_u and energy are taken from u_samples, so a row does not depend on
-    how the velocity was held. The dyadic blocks of u and grad Pi, and
-    grad u, are formed on work and transformed by its inverse, in its
-    "scratch" and "residual" spectra and "u_x" and "u_y" samples, which are
-    written only after u_samples is read. rho - 1 stays on the half
-    lattice: the forward transform of its samples holds roundoff beyond
+    how the velocity was held. The row allocates no array of the grid's
+    size (numpy's in-place axis-0 FFTs copy their operand for the length
+    of the call). The squares of |u| and the energy are formed in work's
+    "product" samples, overwriting u_samples[1] (first copied into the
+    "u_y" samples if it is read-only, a given field's). The dyadic blocks
+    of u and grad Pi, and grad u, are formed on work and transformed by
+    its inverse, in its "scratch" and "residual" spectra and "u_x" and
+    "u_y" samples. rho - 1 takes its blocks on the half lattice
+    (_b1_norm_of_samples, in the "product" samples and work's half
+    spectra): the forward transform of its samples holds roundoff beyond
     k_max, which its blocks see."""
-    squares = _magnitude(*u_samples) ** 2
+    ux, uy = u_samples
+    if not uy.flags.writeable:
+        uy = work.samples("u_y")
+        np.copyto(uy, u_samples[1])
+    squares = _magnitude(ux, uy, work.samples("product"))
+    np.square(squares, out=squares)
     l2_u = float(math.sqrt(np.mean(squares)))
-    energy = 0.5 * float(np.mean(rho * squares))
-    del squares  # freed before the blocks are formed: peak memory
+    energy = 0.5 * float(np.mean(np.multiply(rho, squares, out=squares)))
     g_inf = _grad_inf(u_hat, work)
     if prev is None:
         bkm = 0.0
@@ -104,7 +113,7 @@ def _record(t, rho, u_samples, u_hat, g_hat, config, bank, prev: DiagnosticsReco
         besov_u=_besov_norms(bank, u_hat, config.besov_indices, work),
         l2_grad_pi=math.hypot(*(_parseval_l2(g) for g in g_hat)),
         besov_grad_pi=_besov_norms(bank, g_hat, config.besov_indices, work),
-        besov_rho_minus_1=besov_norm(bank, ScalarField(config.grid, values=rho - 1.0), B1),
+        besov_rho_minus_1=_b1_norm_of_samples(bank, np.subtract(rho, 1.0, out=work.samples("product")), work),
         rho_min=float(rho.min()),
         rho_max=float(rho.max()),
         energy=energy,

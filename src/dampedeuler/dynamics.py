@@ -633,11 +633,22 @@ def step_rk4(state: FluidState, config: SimConfig) -> FluidState:
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """The rows of a run, with final_state, the last state that passed its
+    invariants. final_state is formed on first access (_Stepper.state):
+    until then the result holds the run's stepper in held, and with it the
+    stepper's workspace, which it drops once the state is formed."""
+
     records: list  # DiagnosticsRecord rows, in time order
-    final_state: FluidState | None
+    held: FluidState | _Stepper | None  # final_state, or the stepper that holds it
     initial_norms: InitialNorms  # of the t = 0 state, for the condition reports
     failure: str | None = None
     telemetry: dict | None = None  # _Stepper.telemetry(): counts, no timings
+
+    @property
+    def final_state(self) -> FluidState | None:
+        if isinstance(self.held, _Stepper):
+            object.__setattr__(self, "held", self.held.state())
+        return self.held
 
     @property
     def failed(self) -> bool:
@@ -650,13 +661,16 @@ def run_simulation(config: SimConfig) -> SimulationResult:
 
     On an invariant or solver failure the rows collected so far are returned
     with the failure recorded, and the final state is the last one that
-    passed its invariants.
+    passed its invariants. The initial norms are read from the t = 0
+    record and the initial state, which the stepper holds until its first
+    step; no other state is formed unless final_state is read.
     """
     bank = build_filter_bank(config.grid)
-    stepper = _Stepper(config, initial_state(config))
+    state = initial_state(config)  # kept until the initial norms are taken
+    stepper = _Stepper(config, state)
     n_steps = _step_count(config.t_end, config.dt, config.record_every)
 
-    records, norms, failure = [], None, None
+    records, failure = [], None
     try:
         for step in range(n_steps + 1):
             if step:
@@ -664,12 +678,12 @@ def run_simulation(config: SimConfig) -> SimulationResult:
             if step % config.record_every == 0 or step == n_steps:
                 records.append(stepper.record(bank, records[-1] if records else None))
                 if step == 0:  # the initial norms are read from the t = 0 record
-                    norms = initial_norms(stepper.state(), bank, records[0], config.besov_indices)
+                    norms, state = initial_norms(state, bank, records[0], config.besov_indices), None
     except (InvariantViolation, PressureSolveError) as exc:
         failure = str(exc)
-    if norms is None:  # the t = 0 record failed, so the stepper holds the initial state
-        norms = initial_norms(stepper.state(), bank)
-    return SimulationResult(records, stepper.state(), norms, failure, stepper.telemetry())
+    if state is not None:  # the t = 0 record failed
+        norms = initial_norms(state, bank)
+    return SimulationResult(records, stepper, norms, failure, stepper.telemetry())
 
 
 def solve_linear_transport(

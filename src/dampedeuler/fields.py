@@ -228,6 +228,12 @@ class Workspace:
     def samples(self, name: str) -> np.ndarray:
         return self._get(name, self.grid.shape, float)
 
+    def half_spectrum(self, name: str) -> np.ndarray:
+        """A spectrum on the half lattice, on either lattice of the
+        workspace; the retained pair writes "transform" and "scattered"."""
+        n = self.grid.n
+        return self._get(name, (n, n // 2 + 1), complex)
+
     def _get(self, name: str, shape: tuple[int, int], dtype) -> np.ndarray:
         key = (name, dtype)
         if key not in self._arrays:
@@ -241,15 +247,15 @@ class Workspace:
             _fftn(values, out=out)
             out *= self.tables.dealias_mask
             return out
-        n = self.grid.n
-        half = np.fft.rfft(values, axis=1, out=self._get("transform", (n, n // 2 + 1), complex))
+        half = np.fft.rfft(values, axis=1, out=self.half_spectrum("transform"))
         cols = half[:, : self.grid.k_max + 1]
         np.fft.fft(cols, axis=0, out=cols)
         return self.gather(half, out)
 
     def inverse(self, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The real samples of a spectrum, into out; writes the "scattered"
-        buffer, a half spectrum whose columns above k_max stay zero. The
+        buffer, a half spectrum whose columns above k_max it reads as zero
+        (a caller that writes them zeroes them again). The
         rows are scattered into its first k_max + 1 columns, zero between
         them, and the axis-0 pass runs there in place; irfft then reads all
         n//2 + 1 columns, as a half spectrum holds them. Given only the
@@ -258,7 +264,7 @@ class Workspace:
         if not self.retained:
             return _ifftn_real(spectrum, out=out)
         n, k = self.grid.n, self.grid.k_max
-        padded = self._get("scattered", (n, n // 2 + 1), complex)
+        padded = self.half_spectrum("scattered")
         cols = padded[:, : k + 1]
         cols[k + 1 : n - k] = 0.0
         self._scatter_rows(spectrum, padded)
@@ -469,8 +475,9 @@ class VectorField:
         return self.components[0].grid
 
     def magnitude(self) -> np.ndarray:
-        """Pointwise Euclidean length (_magnitude)."""
-        return _magnitude(*(c.values for c in self.components))
+        """Pointwise Euclidean length (_magnitude), as a fresh array."""
+        vx, vy = (c.values for c in self.components)
+        return _magnitude(vx, vy.copy(), np.empty(vx.shape))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(tuple(a + b for a, b in zip(self.components, other.components)))
@@ -499,14 +506,17 @@ def _magnitude_exponent(vx: np.ndarray, vy: np.ndarray) -> int:
     return max(math.frexp(max(vx.max(), -vx.min(), vy.max(), -vy.min()))[1], sys.float_info.min_exp)
 
 
-def _magnitude(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    """Pointwise Euclidean length of the samples vx, vy. The components are
-    scaled by a power of two near their largest size, which is exact, so the
-    squares overflow only where the length does; np.hypot does the same at
-    several times the cost."""
+def _magnitude(vx: np.ndarray, vy: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Pointwise Euclidean length of the samples vx, vy, into out (which may
+    be vx), overwriting vy. The components are scaled by a power of two
+    near their largest size, which is exact, so the squares overflow only
+    where the length does; np.hypot does the same at several times the
+    cost."""
     e = _magnitude_exponent(vx, vy)
     s = math.ldexp(1.0, -e)
-    return np.ldexp(np.sqrt((vx * s) ** 2 + (vy * s) ** 2), e)
+    np.square(np.multiply(vx, s, out=out), out=out)
+    out += np.square(np.multiply(vy, s, out=vy), out=vy)
+    return np.ldexp(np.sqrt(out, out=out), e, out=out)
 
 
 def _max_magnitude(vx: np.ndarray, vy: np.ndarray) -> float:
@@ -670,7 +680,7 @@ def _lp_norms(spectra: tuple, ps, work: Workspace) -> dict:
         if len(v) == 2 and others == [math.inf]:
             norms[math.inf] = _max_magnitude(*v)
         else:
-            mag = np.abs(v[0], out=v[0]) if len(v) == 1 else _magnitude(*v)
+            mag = np.abs(v[0], out=v[0]) if len(v) == 1 else _magnitude(*v, v[0])
             norms.update((p, _norm_of_magnitude(mag, p)) for p in others)
     return norms
 

@@ -204,6 +204,29 @@ def _besov_norms(bank: DyadicFilterBank, spectra: tuple, indices, work: Workspac
     return tuple(out)
 
 
+def _b1_norm_of_samples(bank: DyadicFilterBank, values: np.ndarray, work: Workspace) -> float:
+    """besov_norm(bank, ScalarField(bank.grid, values=values), B1), with the
+    same bits, from the samples values, which it overwrites with each
+    block's samples. rfftn and each block's irfftn run as the 1-D passes
+    they make, on every mode of the half lattice (the spectrum of samples
+    holds roundoff beyond k_max, which the blocks see), in work's
+    "transform" (the spectrum) and "scattered" (a block) half spectra; the
+    columns of "scattered" above k_max are zeroed again at the end, as
+    Workspace.inverse reads them."""
+    n, k = bank.grid.n, bank.grid.k_max
+    spectrum = np.fft.rfft(values, axis=1, out=work.half_spectrum("transform"))
+    np.fft.fft(spectrum, axis=0, out=spectrum)
+    block = work.half_spectrum("scattered")
+    terms = []
+    for j in bank.block_indices():
+        np.multiply(spectrum, bank.block_profile(j), out=block)
+        np.fft.ifft(block, axis=0, out=block)
+        np.fft.irfft(block, n, axis=1, out=values)
+        terms.append(_pow2(j * B1.s) * float(np.max(np.abs(values, out=values))))
+    block[:, k + 1:] = 0.0
+    return float(sum(terms))
+
+
 def besov_norm(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> float:
     """l^r over blocks of 2^{j s} * ||block_j f||_{L^p}."""
     return besov_norms(bank, f, (idx,))[0]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,15 @@ def count_transforms(monkeypatch, action) -> int:
     monkeypatch.undo()
     assert calls["fftn"] == calls["ifftn"] == 0
     return calls["rfftn"] + calls["irfftn"] + calls["rfft"] + calls["irfft"]
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes that tracemalloc traces above its baseline while fn()
+    runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -1,10 +1,14 @@
 import functools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import dampedeuler
 from dampedeuler import cli
 from dampedeuler.cli import csv_columns, main
 from dampedeuler.config import ConfigError, load_config, resolve_config
@@ -609,3 +613,15 @@ class TestRefusedBeforeAnyRun:
         err = capsys.readouterr().err
         assert f"sweep error: THREADS must be a positive integer, got {threads!r}" in err
         assert not (tmp_path / "o").exists()
+
+
+class TestImports:
+    def test_cli_loads_no_pool_and_no_self_checks(self):
+        # run imports only what it uses: sweep loads the process pool, and
+        # verify the self-checks, when they are called
+        code = ("import sys, dampedeuler.cli; print(' '.join(m for m in sys.modules"
+                " if m.split('.')[0] in ('concurrent', 'multiprocessing') or m == 'dampedeuler.verify'))")
+        src = os.path.dirname(os.path.dirname(dampedeuler.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == []
