@@ -132,7 +132,7 @@ def random_shell(grid: GridSpec, j: int = 2, amplitude: float = 1.0, seed: int =
         raise ValueError(f"shell index {j} outside [0, {bank.j_max}]")
     rng = np.random.default_rng(seed)
     white = [ScalarField(grid, values=rng.standard_normal(grid.shape)) for _ in range(2)]
-    v = leray_project(apply_multiplier(VectorField(white), bank.phi_profiles[j]))
+    v = leray_project(apply_multiplier(VectorField(white), bank.block_profile(j)))
     norm = lp_norm(v, 2)
     if norm == 0.0:
         raise ValueError("degenerate random shell draw")
@@ -470,6 +470,7 @@ class _Stepper:
             self.work.gather(f.spectrum, held)
         self.evaluated = False  # the "k1" spectra hold the held state's first stage
         self.u_samples = None  # the velocity samples of the last stage evaluated
+        self.recorded = False  # a record has overwritten the first stage's own samples
 
     def _spectra(self, kind: str) -> tuple:
         """The work spectra of kind "state", "k1" or "stage": (rho, u_x, u_y),
@@ -563,7 +564,7 @@ class _Stepper:
         """Evaluate RK4 stage 1 at the held state, unless it is evaluated."""
         if not self.evaluated:
             self._evaluate(1, self.t)
-            self.evaluated = True
+            self.evaluated, self.recorded = True, False
 
     def step(self) -> None:
         """One RK4 step of the held state, from its first stage. The new
@@ -589,11 +590,17 @@ class _Stepper:
     def record(self, bank, prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
         """The diagnostics row of the held state (diagnostics._record), from
         its first stage: its velocity samples, and grad Pi from its
-        potential, in the "flux_x" and "flux_y" spectra. An overflow or a
-        non-finite value is an InvariantViolation that names the operation
-        or the column, and t."""
+        potential, in the "flux_x" and "flux_y" spectra. A record overwrites
+        the samples that the stepper formed (not a given field's), so a
+        later record of the same state forms them again from the held
+        spectra, with the same bits. An overflow or a non-finite value is an
+        InvariantViolation that names the operation or the column, and t."""
         self.tendency()
         work, t = self.work, self.t
+        if self.recorded:
+            self.u_samples = tuple(work.inverse(u, v) if v.flags.writeable else v
+                                   for u, v in zip(self._spectra("state")[-2:], self.u_samples))
+        self.recorded = True
         try:
             with np.errstate(over="raise", invalid="raise"):
                 g_hat = tuple(np.multiply(work.spectrum("last_potential"), d, out=work.spectrum(name))

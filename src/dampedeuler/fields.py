@@ -213,8 +213,9 @@ class Workspace:
     are gathered from it (forward) or scattered into zeros for it (inverse),
     all in buffers of the workspace. Each 1-D transform is the one that
     rfftn/irfftn make on that line, so a retained mode has the same bits.
-    apply multiplies a spectrum by a half-lattice table, such as a filter
-    bank's block profile, at the workspace's modes."""
+    Given the number of leading columns that hold a spectrum's nonzero
+    modes, such as a dyadic block's, the retained inverse runs its axis-0
+    pass on those columns only."""
 
     __slots__ = ("grid", "retained", "tables", "_arrays")
 
@@ -252,34 +253,30 @@ class Workspace:
         np.fft.fft(cols, axis=0, out=cols)
         return self.gather(half, out)
 
-    def inverse(self, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The real samples of a spectrum, into out; writes the "scattered"
+    def inverse(self, spectrum: np.ndarray, out: np.ndarray, cols: int | None = None) -> np.ndarray:
+        """The real samples of a spectrum, into out, given that its columns
+        from cols on (default: none) are zero; writes the "scattered"
         buffer, a half spectrum whose columns above k_max it reads as zero
         (a caller that writes them zeroes them again). The
-        rows are scattered into its first k_max + 1 columns, zero between
-        them, and the axis-0 pass runs there in place; irfft then reads all
-        n//2 + 1 columns, as a half spectrum holds them. Given only the
-        k_max + 1 columns, irfft pads them itself, with the same bits at a
-        higher cost."""
+        rows are scattered into its first cols columns, zero between
+        them, and the axis-0 pass runs there in place; the columns from cols
+        to k_max are zeroed, and irfft then reads all n//2 + 1 columns, as a
+        half spectrum holds them. Given only the k_max + 1 columns, irfft
+        pads them itself, with the same bits at a higher cost. A column
+        skipped is all zero, whose transform is zero, so a sample can differ
+        only in the sign of an exact zero. The half lattice transforms every
+        column."""
         if not self.retained:
             return _ifftn_real(spectrum, out=out)
         n, k = self.grid.n, self.grid.k_max
+        cols = k + 1 if cols is None else cols
         padded = self.half_spectrum("scattered")
-        cols = padded[:, : k + 1]
-        cols[k + 1 : n - k] = 0.0
-        self._scatter_rows(spectrum, padded)
-        np.fft.ifft(cols, axis=0, out=cols)
+        lines = padded[:, :cols]
+        lines[k + 1 : n - k] = 0.0
+        self._scatter_rows(spectrum[:, :cols], lines)
+        padded[:, cols : k + 1] = 0.0
+        np.fft.ifft(lines, axis=0, out=lines)
         return np.fft.irfft(padded, n, axis=1, out=out)
-
-    def apply(self, spectrum: np.ndarray, mult: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """spectrum times mult, a table over the half lattice, at the
-        workspace's modes, into out (the operand order of apply_multiplier)."""
-        if not self.retained:
-            return np.multiply(spectrum, mult, out=out)
-        k = self.grid.k_max
-        np.multiply(spectrum[: k + 1], mult[: k + 1, : k + 1], out=out[: k + 1])
-        np.multiply(spectrum[k + 1:], mult[-k:, : k + 1], out=out[k + 1:])
-        return out
 
     def gather(self, half: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The retained modes of a half spectrum, into out on the retained
@@ -296,7 +293,8 @@ class Workspace:
 
     def _scatter_rows(self, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The retained rows of spectrum into the first k_max + 1 columns of
-        out, a half spectrum; its other entries are left as they are."""
+        out, a half spectrum (or its first columns, as many as spectrum
+        has); its other entries are left as they are."""
         k = self.grid.k_max
         out[: k + 1, : k + 1] = spectrum[: k + 1]
         out[-k:, : k + 1] = spectrum[k + 1:]
@@ -668,15 +666,16 @@ def _new_spectrum(grid: GridSpec) -> np.ndarray:
     return np.empty((grid.n, grid.n // 2 + 1), complex)
 
 
-def _lp_norms(spectra: tuple, ps, work: Workspace) -> dict:
+def _lp_norms(spectra: tuple, ps, work: Workspace, cols: int | None = None) -> dict:
     """lp_norm for each p in ps of the scalar field (one spectrum) or vector
     field (two) whose spectra on work's lattice are given: L^2 by Parseval,
     any other p from the samples, which it writes into the "u_x" and "u_y"
-    samples. A vector's sup norm alone takes _max_magnitude."""
+    samples (work.inverse, given that the columns from cols on are zero). A
+    vector's sup norm alone takes _max_magnitude."""
     norms = {2: math.hypot(*(_parseval_l2(s) for s in spectra))} if 2 in ps else {}
     others = [p for p in ps if p != 2]
     if others:
-        v = [work.inverse(s, work.samples(name)) for s, name in zip(spectra, ("u_x", "u_y"))]
+        v = [work.inverse(s, work.samples(name), cols) for s, name in zip(spectra, ("u_x", "u_y"))]
         if len(v) == 2 and others == [math.inf]:
             norms[math.inf] = _max_magnitude(*v)
         else:

@@ -10,6 +10,12 @@ The top block keeps the inner edge of that annulus but extends flat to the
 grid corner: the corner modes retained by the 2/3 rule fall inside what would
 be the top block's outer transition, and closing the partition there is what
 makes reconstruction exact on the whole retained set.
+
+The bank holds each profile on its box only, the modes |k_x|, k_y <= K_j
+outside which the profile is constant: zero for block j < j_max, where
+K_j = ceil(1.9 * 2^j) - 1, and one for the top block, where
+K = ceil(0.95 * 2^j_max) - 1. A block is formed on its box (_block), and the
+inverse transform of a block runs its axis-0 pass on the box's columns only.
 """
 
 from __future__ import annotations
@@ -89,30 +95,47 @@ B1 = BesovIndex(1.0, math.inf, 1.0)  # B^1_{inf,1}, the space of the smallness c
 class DyadicFilterBank:
     """Fourier multipliers for the dyadic blocks on one grid.
 
-    chi_profile is the block -1 (low-pass) multiplier; phi_profiles[j] is the
-    block-j multiplier. All profiles are real arrays over the half lattice
-    (n, n//2 + 1) of the spectra they multiply.
+    boxes[j + 1] is the block-j profile (j = -1 is the low-pass block) on
+    its box: shape (2 K_j + 1, K_j + 1), rows k_x = 0..K_j then -K_j..-1 (the
+    FFT order) and columns k_y = 0..K_j. Outside its box a profile is zero,
+    except the top block's, which is one there (see the module doc).
+    block_profile(j) is the profile over the half lattice (n, n//2 + 1).
     """
 
     grid: GridSpec
     j_max: int
-    chi_profile: np.ndarray
-    phi_profiles: tuple[np.ndarray, ...]
+    boxes: tuple[np.ndarray, ...]
 
     def block_profile(self, j: int) -> np.ndarray:
         if j < -1 or j > self.j_max:
             raise ValueError(f"block index {j} outside [-1, {self.j_max}]")
-        return self.chi_profile if j == -1 else self.phi_profiles[j]
+        n, box = self.grid.n, self.boxes[j + 1]
+        profile = (np.ones if j == self.j_max else np.zeros)((n, n // 2 + 1))
+        for p, b in zip(_box_views(profile, box.shape[1] - 1), _box_views(box, box.shape[1] - 1)):
+            p[...] = b
+        return profile
 
     def block_indices(self) -> range:
         return range(-1, self.j_max + 1)
+
+
+def _box_views(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The views of a spectrum-shaped array a (half lattice, retained
+    lattice or box) at the modes |k_x| <= k, k_y <= k: rows 0..k, then rows
+    -k..-1, the last k of a; a holds those modes."""
+    rows = a.shape[0]
+    return a[: k + 1, : k + 1], a[rows - k:, : k + 1]
 
 
 def build_filter_bank(grid: GridSpec) -> DyadicFilterBank:
     """Construct the dyadic filter bank for a grid.
 
     j_max is the smallest J with 1.9 * 2^J >= k_max * sqrt(2), so the top
-    annulus reaches the largest retained wavenumber.
+    annulus reaches the largest retained wavenumber. Block j < j_max
+    vanishes where |k| >= 1.9 * 2^j, and the top block is one where
+    |k| >= 0.95 * 2^j_max; each box is the square of integer modes inside
+    that radius. 2^j_max is n/4, so every box lies inside the retained
+    lattice (K_j <= ceil(0.2375 n) - 1 < k_max).
     """
     k_corner = grid.k_max * math.sqrt(2)
     j_max = 0
@@ -121,27 +144,57 @@ def build_filter_bank(grid: GridSpec) -> DyadicFilterBank:
     if j_max < 1:
         raise ValueError(f"grid n={grid.n} too small to host a dyadic block")
 
-    r = _half_tables(grid).k_mag
-    chi = radial_cutoff(2.0 * r)
-    low = [radial_cutoff(2.0 ** (-j + 1) * r) for j in range(j_max + 1)]
-    phis = [low[j + 1] - low[j] for j in range(j_max)]
-    # top block: inner edge as usual, flat to the grid corner (see module doc)
-    phis.append(1.0 - low[j_max])
+    k_mag = _half_tables(grid).k_mag
+    boxes = []
+    for j in range(-1, j_max + 1):
+        k = math.ceil(ZERO_EDGE * 2.0 ** min(j, j_max - 1)) - 1
+        r = np.concatenate(_box_views(k_mag, k))
+        if j == -1:
+            box = radial_cutoff(2.0 * r)
+        elif j < j_max:
+            box = radial_cutoff(2.0 ** (-j) * r) - radial_cutoff(2.0 ** (-j + 1) * r)
+        else:  # top block: inner edge as usual, flat to the grid corner (see module doc)
+            box = 1.0 - radial_cutoff(2.0 ** (-j + 1) * r)
+        box.setflags(write=False)
+        boxes.append(box)
+    bank = DyadicFilterBank(grid, j_max, tuple(boxes))
 
-    for arr in (chi, *phis):
-        arr.setflags(write=False)
-    bank = DyadicFilterBank(grid, j_max, chi, tuple(phis))
-
-    residual = np.abs(chi + np.sum(phis, axis=0) - 1.0).max()
+    # every box lies in the top block's, outside which the sum is the top
+    # block's one alone: this is the residual over every half-lattice mode
+    total = np.zeros(boxes[-1].shape)
+    for box in (*boxes[1:], boxes[0]):
+        for t, b in zip(_box_views(total, box.shape[1] - 1), _box_views(box, box.shape[1] - 1)):
+            t += b
+    residual = np.abs(total - 1.0).max()
     if residual > 1e-14:
         raise AssertionError(f"partition of unity failed: residual {residual:.3e}")
     return bank
 
 
 def partition_residual(bank: DyadicFilterBank) -> float:
-    """Max deviation of chi + sum(phi_j) from one over the retained modes."""
-    total = bank.chi_profile + np.sum(bank.phi_profiles, axis=0)
+    """Max deviation of chi + sum(phi_j) from one over the retained modes,
+    from the half-lattice profiles."""
+    phis = [bank.block_profile(j) for j in range(bank.j_max + 1)]
+    total = bank.block_profile(-1) + np.sum(phis, axis=0)
     return float(np.abs(total - 1.0)[_half_tables(bank.grid).dealias_mask].max())
+
+
+def _block(bank: DyadicFilterBank, j: int, spectrum: np.ndarray, out: np.ndarray) -> int:
+    """Block j of a spectrum on either lattice (half or retained, each of
+    which holds every box), into out: out is zeroed (the top block's is a
+    copy of spectrum), and spectrum times the profile is written at the
+    box's modes. Returns the number of leading columns that hold the
+    block's nonzero modes, the columns that Workspace.inverse then
+    transforms."""
+    box = bank.boxes[j + 1]
+    k = box.shape[1] - 1
+    if j == bank.j_max:
+        np.copyto(out, spectrum)
+    else:
+        out.fill(0.0)
+    for s, b, o in zip(_box_views(spectrum, k), _box_views(box, k), _box_views(out, k)):
+        np.multiply(s, b, out=o)
+    return out.shape[1] if j == bank.j_max else k + 1
 
 
 def dyadic_block(bank: DyadicFilterBank, f: Field, j: int):
@@ -158,9 +211,9 @@ def low_cutoff(bank: DyadicFilterBank, f: Field, j: int):
     if j < 0:
         raise ValueError("low_cutoff index must be >= 0")
     top = min(j - 1, bank.j_max)
-    mult = bank.chi_profile.copy()
+    mult = bank.block_profile(-1)
     for k in range(0, top + 1):
-        mult = mult + bank.phi_profiles[k]
+        mult = mult + bank.block_profile(k)
     return apply_multiplier(f, mult)
 
 
@@ -182,15 +235,15 @@ def besov_norms(bank: DyadicFilterBank, f: Field, indices) -> tuple[float, ...]:
 def _besov_norms(bank: DyadicFilterBank, spectra: tuple, indices, work: Workspace) -> tuple[float, ...]:
     """besov_norms of the scalar field (one spectrum) or vector field (two)
     whose spectra on work's lattice are given: each block is formed once, in
-    the "scratch" (and "residual") spectrum, and every index reads its L^p
-    norm from it (fields._lp_norms, which writes the "u_x" and "u_y"
-    samples)."""
+    the "scratch" (and "residual") spectrum (_block), and every index reads
+    its L^p norm from it (fields._lp_norms, which writes the "u_x" and "u_y"
+    samples, transforming the block's columns only)."""
     ps = {idx.p for idx in indices}
     blocks = tuple(work.spectrum(name) for name in ("scratch", "residual")[: len(spectra)])
     terms = [[] for _ in indices]
     for j in bank.block_indices():
-        profile = bank.block_profile(j)
-        norms = _lp_norms(tuple(work.apply(s, profile, b) for s, b in zip(spectra, blocks)), ps, work)
+        cols = max(_block(bank, j, s, b) for s, b in zip(spectra, blocks))
+        norms = _lp_norms(blocks, ps, work, cols)
         for idx, t in zip(indices, terms):
             t.append(_pow2(j * idx.s) * norms[idx.p])
     out = []
@@ -210,8 +263,9 @@ def _b1_norm_of_samples(bank: DyadicFilterBank, values: np.ndarray, work: Worksp
     block's samples. rfftn and each block's irfftn run as the 1-D passes
     they make, on every mode of the half lattice (the spectrum of samples
     holds roundoff beyond k_max, which the blocks see), in work's
-    "transform" (the spectrum) and "scattered" (a block) half spectra; the
-    columns of "scattered" above k_max are zeroed again at the end, as
+    "transform" (the spectrum) and "scattered" (a block, _block) half
+    spectra, and each block's axis-0 pass runs on its box's columns only;
+    the columns of "scattered" above k_max are zeroed again at the end, as
     Workspace.inverse reads them."""
     n, k = bank.grid.n, bank.grid.k_max
     spectrum = np.fft.rfft(values, axis=1, out=work.half_spectrum("transform"))
@@ -219,8 +273,8 @@ def _b1_norm_of_samples(bank: DyadicFilterBank, values: np.ndarray, work: Worksp
     block = work.half_spectrum("scattered")
     terms = []
     for j in bank.block_indices():
-        np.multiply(spectrum, bank.block_profile(j), out=block)
-        np.fft.ifft(block, axis=0, out=block)
+        lines = block[:, : _block(bank, j, spectrum, block)]
+        np.fft.ifft(lines, axis=0, out=lines)
         np.fft.irfft(block, n, axis=1, out=values)
         terms.append(_pow2(j * B1.s) * float(np.max(np.abs(values, out=values))))
     block[:, k + 1:] = 0.0

@@ -93,7 +93,7 @@ def bernstein_ratios(n: int, seed: int = 0):
     out = []
     for j in range(0, bank.j_max + 1):
         white = ScalarField.from_values(grid, rng.standard_normal(grid.shape))
-        f = dealias(apply_multiplier(white, bank.phi_profiles[j]))
+        f = dealias(apply_multiplier(white, bank.block_profile(j)))
         g = gradient(f)
         for p in (2.0, math.inf):
             out.append((j, p, lp_norm(g, p) / (2.0**j * lp_norm(f, p))))

@@ -250,11 +250,11 @@ class TestVerifyCommand:
     def test_partition_check_detects_tampering(self):
         bank = build_filter_bank(GridSpec(n=32))
         assert check_partition_of_unity(bank=bank).passed
-        profiles = list(bank.phi_profiles)
-        broken = profiles[1].copy()
+        boxes = list(bank.boxes)
+        broken = boxes[2].copy()  # block 1, at the mode (3, 0)
         broken[3, 0] += 1e-3
-        profiles[1] = broken
-        tampered = type(bank)(bank.grid, bank.j_max, bank.chi_profile, tuple(profiles))
+        boxes[2] = broken
+        tampered = type(bank)(bank.grid, bank.j_max, tuple(boxes))
         assert not check_partition_of_unity(bank=tampered).passed
 
     def test_failed_check_exits_3(self, monkeypatch, capsys):

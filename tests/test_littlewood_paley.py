@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from dampedeuler import littlewood_paley
 from dampedeuler.fields import (
     GridSpec,
     ScalarField,
     VectorField,
+    Workspace,
+    _fftn,
     _half_tables,
     dealias,
     gradient,
@@ -15,10 +18,13 @@ from dampedeuler.fields import (
 from dampedeuler.littlewood_paley import (
     B1,
     BesovIndex,
+    _b1_norm_of_samples,
+    _besov_norms,
     besov_norm,
     besov_norms,
     build_filter_bank,
     commutator_damping_profile,
+    radial_cutoff,
     dyadic_block,
     intersection_norm,
     low_cutoff,
@@ -53,12 +59,12 @@ class TestFilterBank:
         t = _half_tables(bank64.grid)
         for j in range(bank64.j_max):  # the top block has no outer edge
             center = np.isclose(t.k_mag, 2.0**j)
-            assert np.all(bank64.phi_profiles[j][center] == 1.0)
+            assert np.all(bank64.block_profile(j)[center] == 1.0)
 
     def test_annulus_support(self, bank64):
         t = _half_tables(bank64.grid)
         for j in range(bank64.j_max):
-            prof = bank64.phi_profiles[j]
+            prof = bank64.block_profile(j)
             outside = (t.k_mag < 0.55 * 2**j - 1e-12) | (t.k_mag > 1.9 * 2**j + 1e-12)
             assert np.all(prof[outside] == 0.0)
 
@@ -66,6 +72,91 @@ class TestFilterBank:
         bank = build_filter_bank(GridSpec(n=8))  # k_max = 2
         assert bank.j_max >= 1
         assert partition_residual(bank) == 0.0
+
+
+def reference_profiles(grid: GridSpec) -> list:
+    """The profiles of blocks -1..j_max over the whole half lattice, from
+    the formula of the bank's construction."""
+    r = _half_tables(grid).k_mag
+    j_max = build_filter_bank(grid).j_max
+    low = [radial_cutoff(2.0 ** (-j + 1) * r) for j in range(j_max + 1)]
+    return [radial_cutoff(2.0 * r), *(low[j + 1] - low[j] for j in range(j_max)), 1.0 - low[j_max]]
+
+
+_PROFILES = {}
+
+
+def full_profile_block(bank, j, spectrum, out):
+    """The block kernel of a bank of whole half-lattice profiles: the product
+    with the profile (at the retained modes on the retained lattice), whose
+    inverse transforms every column."""
+    if bank.grid not in _PROFILES:
+        _PROFILES[bank.grid] = reference_profiles(bank.grid)
+    p, k = _PROFILES[bank.grid][j + 1], bank.grid.k_max
+    if out.shape == p.shape:
+        np.multiply(spectrum, p, out=out)
+    else:
+        np.multiply(spectrum[: k + 1], p[: k + 1, : k + 1], out=out[: k + 1])
+        np.multiply(spectrum[k + 1:], p[-k:, : k + 1], out=out[k + 1:])
+    return out.shape[1]
+
+
+SIZES = [8, 16, 32, 64, 128, 256, 512]
+INDICES = (B1, BesovIndex(0.0, 2.0, 2.0), BesovIndex(0.5, 1.0, 1.0), BesovIndex(1.0, 3.0, 2.0),
+           BesovIndex(1.5, 4.0, math.inf))
+
+
+class TestBoxedBank:
+    """The bank holds each profile on its box, and a block's inverse
+    transforms the box's columns only; every value keeps the bits of a bank
+    of whole half-lattice profiles."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_profiles_are_the_reference_bytes(self, n):
+        grid = GridSpec(n=n)
+        bank = build_filter_bank(grid)
+        for j, reference in zip(bank.block_indices(), reference_profiles(grid)):
+            assert bank.block_profile(j).tobytes() == reference.tobytes()
+        # the block kernel takes every box to lie inside the retained lattice
+        assert max(box.shape[1] for box in bank.boxes) - 1 <= grid.k_max
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_partition_residual_is_exactly_zero(self, n):
+        assert partition_residual(build_filter_bank(GridSpec(n=n))) == 0.0
+
+    def test_bank_bytes_at_n1024(self):
+        # whole half-lattice profiles took 40.08 MiB here
+        bank = build_filter_bank(GridSpec(n=1024))
+        assert sum(box.nbytes for box in bank.boxes) <= 2.2 * 2**20
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_besov_norms_on_both_lattices(self, n, monkeypatch):
+        grid, rng = GridSpec(n=n), np.random.default_rng(n)
+        bank, mask = build_filter_bank(grid), _half_tables(grid).dealias_mask
+        spectra = tuple(_fftn(rng.standard_normal(grid.shape)) * mask for _ in range(2))
+        work = Workspace(grid, retained=True)
+        retained = tuple(work.gather(s, work.spectrum(f"in_{i}")) for i, s in enumerate(spectra))
+        cases = [(spectra[:1], None), (spectra, None), (retained[:1], work), (retained, work)]
+
+        def passes():
+            return [[x.hex() for x in _besov_norms(bank, s, INDICES, w or Workspace(grid))] for s, w in cases]
+
+        boxed = passes()
+        with monkeypatch.context() as m:
+            m.setattr(littlewood_paley, "_block", full_profile_block)
+            assert boxed == passes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_b1_norm_of_samples_with_roundoff_beyond_k_max(self, n, monkeypatch):
+        grid, rng = GridSpec(n=n), np.random.default_rng(n)
+        bank, work = build_filter_bank(grid), Workspace(grid, retained=True)
+        x, y = grid.nodes()
+        values = 1.0 + 0.3 * np.sin(x) * np.cos(2.0 * y) + 1e-13 * rng.standard_normal(grid.shape)
+        boxed = _b1_norm_of_samples(bank, values.copy(), work)
+        with monkeypatch.context() as m:
+            m.setattr(littlewood_paley, "_block", full_profile_block)
+            assert boxed.hex() == _b1_norm_of_samples(bank, values.copy(), work).hex()
+        assert not work.half_spectrum("scattered")[:, grid.k_max + 1:].any()
 
 
 class TestDyadicBlocks:
