@@ -107,7 +107,9 @@ class GridSpec:
 class SpectralTables(NamedTuple):
     """Wavenumber tables over the half lattice (n, n//2 + 1) of the spectra
     (_half_tables); _retained_tables spans the retained lattice of a
-    Workspace, and tables(grid) the full (n, n) lattice."""
+    Workspace, and tables(grid) the full (n, n) lattice. On the half and full
+    lattices kx and ddx are (n, 1) columns and ky and ddy (1, cols) rows,
+    which broadcast to the lattice; the retained tables are all 2-D."""
 
     kx: np.ndarray          # derivative wavenumber, axis 0 (Nyquist zeroed)
     ky: np.ndarray          # derivative wavenumber, axis 1 (Nyquist zeroed)
@@ -122,7 +124,7 @@ class SpectralTables(NamedTuple):
 def _tables_for(n: int, cols: int) -> SpectralTables:
     """The tables on columns 0..cols-1 (FFT order) of the (n, n) lattice."""
     modes = (np.arange(n) + n // 2) % n - n // 2  # integer mode indices, FFT order
-    rx, ry = np.meshgrid(modes, modes[:cols], indexing="ij")
+    rx, ry = modes[:, None], modes[None, :cols]
     k_mag = np.sqrt(rx**2 + ry**2)
 
     # Odd derivatives of the (unpaired) Nyquist mode are sign-ambiguous;
@@ -131,13 +133,12 @@ def _tables_for(n: int, cols: int) -> SpectralTables:
     # holds mode by mode.
     d1 = modes.astype(float)
     d1[n // 2] = 0.0
-    kx, ky = np.meshgrid(d1, d1[:cols], indexing="ij")
+    kx, ky = d1[:, None], d1[None, :cols]
     ksq = kx**2 + ky**2
     ddx, ddy = 1j * kx, 1j * ky
 
     k_max = GridSpec(n).k_max
-    mx, my = np.meshgrid(np.abs(modes), np.abs(modes[:cols]), indexing="ij")
-    dealias_mask = (mx <= k_max) & (my <= k_max)
+    dealias_mask = (np.abs(rx) <= k_max) & (np.abs(ry) <= k_max)
 
     inv_neg_lap = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
 
@@ -160,11 +161,13 @@ def _half_tables(grid: GridSpec) -> SpectralTables:
 @lru_cache(maxsize=32)
 def _retained_tables(grid: GridSpec) -> SpectralTables:
     """The tables over the retained lattice (Workspace): the half tables at
-    rows k_x = 0..k_max, -k_max..-1 and columns k_y = 0..k_max. Its
+    rows k_x = 0..k_max, -k_max..-1 and columns k_y = 0..k_max, each a
+    C-contiguous 2-D array (the stages multiply by them, and a broadcast
+    operand makes numpy's complex multiply more than twice as slow). Its
     dealias_mask is all True."""
-    k = grid.k_max
+    k, half = grid.k_max, (grid.n, grid.n // 2 + 1)
     rows = np.r_[0 : k + 1, grid.n - k : grid.n]
-    retained = [np.ascontiguousarray(a[rows, : k + 1]) for a in _half_tables(grid)]
+    retained = [np.ascontiguousarray(np.broadcast_to(a, half)[rows, : k + 1]) for a in _half_tables(grid)]
     for arr in retained:
         arr.setflags(write=False)
     return SpectralTables(*retained)
@@ -199,8 +202,8 @@ class Workspace:
     lattices that its owner chooses: the half lattice (n, n//2 + 1) of the
     fields, or the retained lattice (2 k_max + 1, k_max + 1) of the modes
     that the 2/3 rule keeps, rows k_x = 0..k_max then -k_max..-1 and columns
-    k_y = 0..k_max. tables holds the wavenumber tables of that lattice, and
-    every kernel runs on either.
+    k_y = 0..k_max. tables holds the wavenumber tables of that lattice,
+    shape its shape, and every kernel runs on either.
 
     Each spectrum or sample array is allocated, zeroed, on the first request
     of its name and handed out again on every later one. The kernels
@@ -217,14 +220,15 @@ class Workspace:
     modes, such as a dyadic block's, the retained inverse runs its axis-0
     pass on those columns only."""
 
-    __slots__ = ("grid", "retained", "tables", "_arrays")
+    __slots__ = ("grid", "retained", "tables", "shape", "_arrays")
 
     def __init__(self, grid: GridSpec, retained: bool = False):
         self.grid, self.retained, self._arrays = grid, retained, {}
         self.tables = _retained_tables(grid) if retained else _half_tables(grid)
+        self.shape = self.tables.k_mag.shape
 
     def spectrum(self, name: str) -> np.ndarray:
-        return self._get(name, self.tables.kx.shape, complex)
+        return self._get(name, self.shape, complex)
 
     def samples(self, name: str) -> np.ndarray:
         return self._get(name, self.grid.shape, float)
@@ -546,9 +550,11 @@ def hermitian_defect(f: ScalarField) -> float:
 
 def apply_multiplier(f: Field, mult: np.ndarray) -> Field:
     """Multiply the spectrum of a scalar field, or of each component of a
-    vector field, by mult, an array over the half lattice."""
-    if mult.shape != (f.grid.n, f.grid.n // 2 + 1):
-        raise ValueError(f"multiplier shape {mult.shape} is not the half lattice of n = {f.grid.n}")
+    vector field, by mult: an array over the half lattice, or an (n, 1)
+    column or (1, n//2 + 1) row that broadcasts to it."""
+    n, cols = f.grid.n, f.grid.n // 2 + 1
+    if mult.shape not in ((n, cols), (n, 1), (1, cols)):
+        raise ValueError(f"multiplier shape {mult.shape} does not broadcast to the half lattice of n = {n}")
     if isinstance(f, VectorField):
         return VectorField(apply_multiplier(c, mult) for c in f.components)
     return ScalarField(f.grid, spectrum=f.spectrum * mult)

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dampedeuler import fields
+from dampedeuler.elliptic import solve_pressure
 from dampedeuler.fields import (
     TWO_PI,
     GridSpec,
     ScalarField,
+    SpectralTables,
     VectorField,
     Workspace,
     _fftn,
@@ -16,6 +19,8 @@ from dampedeuler.fields import (
     _ifftn_real,
     _parseval_dot,
     _parseval_l2,
+    _retained_tables,
+    _tables_for,
     advect,
     apply_multiplier,
     curl2d,
@@ -87,15 +92,21 @@ class TestTransforms:
         GridSpec(n=64),
     ], ids=["n8_half", "n64"])
     def test_half_tables_are_the_first_columns_of_the_full_tables(self, grid):
+        n = grid.n
         half, full = _half_tables(grid), tables(grid)
         for name, h, f in zip(half._fields, half, full):
-            assert np.array_equal(h, f[:, : grid.n // 2 + 1]), name
+            h, f = np.broadcast_to(h, (n, n // 2 + 1)), np.broadcast_to(f, (n, n))
+            assert np.array_equal(h, f[:, : n // 2 + 1]), name
 
     def test_multiplier_must_be_on_the_half_lattice(self, grid16):
         f = ScalarField.constant(grid16, 1.0)
-        assert apply_multiplier(f, np.ones((16, 9))).mean() == 1.0
-        with pytest.raises(ValueError, match="half lattice"):
-            apply_multiplier(f, np.ones((16, 16)))
+        for shape in ((16, 9), (16, 1), (1, 9)):
+            assert apply_multiplier(f, np.ones(shape)).mean() == 1.0
+        v = VectorField.zero(grid16)
+        for shape in ((16, 16), (1, 16), (16, 2), (1, 1), (9,), (16,), (1, 16, 9), (16, 9, 1), (2, 16, 9)):
+            for field in (f, v):
+                with pytest.raises(ValueError, match="half lattice"):
+                    apply_multiplier(field, np.ones(shape))
 
     def test_spectrum_hermitian(self, grid64):
         rng = np.random.default_rng(1)
@@ -114,6 +125,85 @@ class TestTransforms:
         f = ScalarField.constant(grid64, 2.0)
         with pytest.raises(ValueError):
             f.values[0, 0] = 3.0
+
+
+def meshgrid_tables(n: int, cols: int) -> SpectralTables:
+    """Every table as a 2-D array on columns 0..cols-1 of the (n, n) lattice,
+    built with meshgrid as the solver built them before kx, ky, ddx and ddy
+    became broadcast factors: the reference of TestBroadcastTables."""
+    modes = (np.arange(n) + n // 2) % n - n // 2
+    rx, ry = np.meshgrid(modes, modes[:cols], indexing="ij")
+    k_mag = np.sqrt(rx**2 + ry**2)
+    d1 = modes.astype(float)
+    d1[n // 2] = 0.0
+    kx, ky = np.meshgrid(d1, d1[:cols], indexing="ij")
+    ksq = kx**2 + ky**2
+    mx, my = np.meshgrid(np.abs(modes), np.abs(modes[:cols]), indexing="ij")
+    dealias_mask = (mx <= n // 3) & (my <= n // 3)
+    inv_neg_lap = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
+    return SpectralTables(kx, ky, k_mag, 1j * kx, 1j * ky, dealias_mask, inv_neg_lap)
+
+
+SIZES = [8, 16, 32, 64, 128, 256, 512]
+
+
+class TestBroadcastTables:
+    """kx, ky, ddx and ddy are held as factors along the one axis each varies
+    on; broadcast, every table and every operator keeps the bits of the 2-D
+    meshgrid tables."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_tables_broadcast_to_the_reference(self, n):
+        for cols in (n // 2 + 1, n):
+            factor = {"kx": (n, 1), "ddx": (n, 1), "ky": (1, cols), "ddy": (1, cols)}
+            for name, a, ref in zip(SpectralTables._fields, _tables_for(n, cols), meshgrid_tables(n, cols)):
+                assert a.shape == factor.get(name, (n, cols)), name
+                assert a.dtype == ref.dtype, name
+                assert np.broadcast_to(a, (n, cols)).tobytes() == ref.tobytes(), name
+                assert not a.flags.writeable, name
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_retained_tables_are_contiguous_with_the_reference_bytes(self, n):
+        grid = GridSpec(n=n)
+        k = grid.k_max
+        rows = np.r_[0 : k + 1, n - k : n]
+        for name, a, ref in zip(SpectralTables._fields, _retained_tables(grid),
+                                meshgrid_tables(n, n // 2 + 1)):
+            assert a.shape == (2 * k + 1, k + 1) and a.flags.c_contiguous, name
+            assert a.dtype == ref.dtype, name
+            assert a.tobytes() == ref[rows, : k + 1].tobytes(), name
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_operators_give_the_reference_bytes(self, n, monkeypatch):
+        grid, rng = GridSpec(n=n), np.random.default_rng(n)
+        f, g, h = (random_dealiased_field(grid, rng) for _ in range(3))
+        v = VectorField((f, g))
+        # contrast 1.5, on the (-abar Lap)^{-1} preconditioner, and 4, on Concus-Golub
+        rhos = [ScalarField.from_values(grid, 1.0 + c * (h.values - h.values.min()) / np.ptp(h.values))
+                for c in (0.5, 3.0)]
+
+        def spectra():
+            out = [*gradient(f).components, *perp_gradient(f).components, curl2d(v),
+                   divergence(v), *leray_project(v).components]
+            for rho in rhos:
+                sol = solve_pressure(rho, v)
+                out += [sol.pi, *sol.accel.components]
+            return [a.spectrum.tobytes() for a in out]
+
+        held = spectra()
+        ref = meshgrid_tables(n, n // 2 + 1)
+        fs, gs = f.spectrum, g.spectrum
+        direct = [fs * ref.ddx, fs * ref.ddy, fs * -ref.ddy, fs * ref.ddx, ref.ddx * gs - ref.ddy * fs]
+        assert held[:5] == [a.tobytes() for a in direct]
+        monkeypatch.setattr(fields, "_half_tables", lambda grid: ref)
+        assert held == spectra()
+
+    def test_table_bytes_at_n1024(self):
+        # _half_tables and tables() at n = 1024, built uncached so that the
+        # test keeps no tables alive: 25.60 MiB (97.56 MiB as 2-D arrays)
+        n = 1024
+        held = sum(a.nbytes for cols in (n // 2 + 1, n) for a in _tables_for.__wrapped__(n, cols))
+        assert held <= 26.8 * 2**20
 
 
 class TestGradient:
