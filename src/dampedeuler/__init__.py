@@ -41,9 +41,6 @@ from .dynamics import (
     ICRecipe,
     InvariantViolation,
     SimConfig,
-    density_rhs,
-    momentum_rhs,
-    rescaled_view,
     run_simulation,
     solve_linear_transport,
     step_rk4,

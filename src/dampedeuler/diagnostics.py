@@ -63,18 +63,6 @@ def csv_columns(n_indices: int) -> list[str]:
     return cols
 
 
-def make_record(state, config, bank, prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
-    """Evaluate the diagnostics row of state, whose grad_pi is set: _record
-    on a new workspace on the retained lattice, into whose "state_u_*" and
-    "flux_*" spectra the retained modes of u and grad Pi are gathered."""
-    work = Workspace(config.grid, retained=True)
-    u_hat, g_hat = (tuple(work.gather(c.spectrum, work.spectrum(f"{kind}_{x}"))
-                          for c, x in zip(v.components, "xy"))
-                    for v, kind in ((state.u, "state_u"), (state.grad_pi, "flux")))
-    u_samples = tuple(c.values for c in state.u.components)
-    return _record(state.t, state.rho.values, u_samples, u_hat, g_hat, config, bank, prev, work)
-
-
 def _record(t, rho, u_samples, u_hat, g_hat, config, bank, prev: DiagnosticsRecord | None,
             work: Workspace) -> DiagnosticsRecord:
     """The diagnostics row at time t from the density samples rho, the

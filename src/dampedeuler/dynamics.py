@@ -39,7 +39,6 @@ from .fields import (
     Workspace,
     _divergence,
     _leray_project,
-    _new_spectrum,
     _number,
     _parseval_l2,
     _product,
@@ -47,7 +46,6 @@ from .fields import (
     _uniform,
     apply_multiplier,
     dealias,
-    gradient,
     leray_project,
     lp_norm,
     perp_gradient,
@@ -96,8 +94,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class FluidState:
-    """Snapshot (t, rho, u) with an optional cached pressure gradient: a
-    state given to a stepper, or one that leaves it (_Stepper.state).
+    """Snapshot (t, rho, u): a state given to a stepper, or one that leaves
+    it (_Stepper.state).
 
     rho_bounds holds the initial density range; the transport equation
     preserves it up to spectral truncation drift, which _check_invariants
@@ -107,7 +105,6 @@ class FluidState:
     t: float
     rho: ScalarField
     u: VectorField
-    grad_pi: VectorField | None = None
     rho_bounds: tuple[float, float] | None = None
 
 
@@ -243,13 +240,7 @@ def initial_state(config: SimConfig) -> FluidState:
             f"advisory: CFL number {cfl:.2f} exceeds 0.5; consider a smaller dt",
             stacklevel=2,
         )
-    return FluidState(
-        t=0.0,
-        rho=rho,
-        u=u,
-        grad_pi=None,
-        rho_bounds=(rho_min, float(rho.values.max())),
-    )
+    return FluidState(t=0.0, rho=rho, u=u, rho_bounds=(rho_min, float(rho.values.max())))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +258,9 @@ def _forcing(ux, uy, u_hat, rho, config: SimConfig, out, work: Workspace):
     u . grad u is taken in flux form, div(u (x) u) (fields.self_advection),
     which equals it for a divergence-free u: states are Leray-projected, and
     a stage velocity adds tendencies whose divergence is the pressure solve's
-    residual. The density is transported in convective form (density_rhs),
-    so a constant density keeps a zero tendency, bit for bit."""
+    residual. The density is transported in convective form
+    (_Stepper._evaluate), so a constant density keeps a zero tendency, bit
+    for bit."""
     if config.gamma == 1:
         for u, f in zip(u_hat, out):
             np.multiply(u, config.alpha, out=f)
@@ -282,66 +274,19 @@ def _forcing(ux, uy, u_hat, rho, config: SimConfig, out, work: Workspace):
     return out
 
 
-def pressure_gradient(state: FluidState, config: SimConfig) -> VectorField:
-    """Pressure gradient consistent with the current state."""
-    stepper = _Stepper(config, state)
-    stepper.tendency()
-    return gradient(stepper.potential())
-
-
-def momentum_rhs(state: FluidState, config: SimConfig) -> VectorField:
-    """Velocity tendency -u . grad u - (1/rho) grad Pi - alpha rho^(gamma-1) u."""
-    stepper = _Stepper(config, state)
-    stepper.tendency()
-    work = stepper.work
-    return VectorField(ScalarField(config.grid, spectrum=work.scatter(work.spectrum(f"k1_{c}")))
-                       for c in ("u_x", "u_y"))
-
-
-def density_rhs(state: FluidState) -> ScalarField:
-    """Density tendency -u . grad rho.
-
-    When every sample of rho is equal (fields._uniform, an exact test with no
-    tolerance) the tendency is zero, returned as samples without transport:
-    convective transport gives the same zero bit for bit, and the stepper
-    then keeps the state's own density at every RK4 stage. A density one ulp
-    from constant is transported."""
-    rho = state.rho
-    if _uniform(rho.values.min(), rho.values.max()):
-        return ScalarField.zero(rho.grid)
-    ux, uy = (c.values for c in state.u.components)
-    out = advect(ux, uy, rho.spectrum, _new_spectrum(rho.grid), Workspace(rho.grid))
-    return ScalarField(rho.grid, spectrum=np.multiply(out, -1.0, out=out))
-
-
-def vorticity_forcing(state: FluidState, config: SimConfig) -> ScalarField:
+def vorticity_forcing(rho: ScalarField, grad_pi: VectorField, alpha: float, t: float) -> ScalarField:
     """Source term of the planar vorticity equation in rescaled variables.
 
-    Returns -perp_grad(1/rho) . exp(alpha t) grad Pi, which vanishes
-    identically for constant density; the vorticity is then purely
-    transported.
+    Returns -perp_grad(1/rho) . exp(alpha t) grad Pi from the density rho
+    and the pressure gradient grad_pi at time t, which vanishes identically
+    for constant density; the vorticity is then purely transported.
     """
-    grad_pi = state.grad_pi
-    if grad_pi is None:
-        grad_pi = pressure_gradient(state, config)
-    inv_rho = ScalarField(state.rho.grid, values=1.0 / state.rho.values)
-    pg = perp_gradient(inv_rho)
-    factor = math.exp(config.alpha * state.t)
+    pg = perp_gradient(ScalarField(rho.grid, values=1.0 / rho.values))
     dot = (
         pg.components[0].values * grad_pi.components[0].values
         + pg.components[1].values * grad_pi.components[1].values
     )
-    return dealias(ScalarField(state.rho.grid, values=-factor * dot))
-
-
-def rescaled_view(state: FluidState, beta: float) -> tuple[VectorField, VectorField]:
-    """Exponentially compensated fields (e^{beta t} u, e^{beta t} grad Pi)."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    if state.grad_pi is None:
-        raise ValueError("state carries no pressure-gradient cache")
-    factor = math.exp(beta * state.t)
-    return state.u * factor, state.grad_pi * factor
+    return dealias(ScalarField(rho.grid, values=-math.exp(alpha * t) * dot))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +383,7 @@ class _Stepper:
     half-lattice fields where a state leaves the stepper. At a constant
     density (fields._uniform) the density is not stepped, every stage
     reuses the first stage's coefficient bounds, and the zero tendency is
-    not formed.
+    not formed; a density one ulp from constant is transported.
 
     tendency evaluates the held state's first stage once, into the "k1"
     spectra and u_samples; record and step read it. Each solve leaves its
@@ -478,24 +423,15 @@ class _Stepper:
         names = ("u_x", "u_y") if self.uniform else ("rho", "u_x", "u_y")
         return tuple(self.work.spectrum(f"{kind}_{name}") for name in names)
 
-    def potential(self) -> ScalarField:
-        """The last potential solved, after tendency the first-stage
-        potential of the held state, as a half-lattice field of its own."""
-        if not self.solves:
-            raise ValueError("no pressure solve has been made")
-        return ScalarField(self.config.grid, spectrum=self.work.scatter(self.work.spectrum("last_potential")))
-
     def state(self) -> FluidState:
         """The held state in half-lattice fields (the given ones until a step
-        changes them), with the gradient of its first-stage potential once
-        tendency has evaluated it, else with grad_pi None."""
+        changes them)."""
         work, grid = self.work, self.config.grid
         rho = self.rho or ScalarField(grid, values=self.density.copy(),
                                       spectrum=work.scatter(work.spectrum("state_rho")))
         u = self.u or VectorField(ScalarField(grid, spectrum=work.scatter(c))
                                   for c in self._spectra("state")[-2:])
-        grad_pi = gradient(self.potential()) if self.evaluated else None
-        return FluidState(t=self.t, rho=rho, u=u, grad_pi=grad_pi, rho_bounds=self.rho_bounds)
+        return FluidState(t=self.t, rho=rho, u=u, rho_bounds=self.rho_bounds)
 
     def guess(self, stage: int) -> np.ndarray | None:
         """The initial guess of the solve of RK4 stage 1..4, in work's

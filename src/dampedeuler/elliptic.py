@@ -72,7 +72,8 @@ CONCUS_GOLUB_CONTRAST = 3.375
 
 
 class PressureSolveError(RuntimeError):
-    """Non-finite source, or no convergence within max_iter operator evaluations."""
+    """Non-finite source, a search direction without positive curvature (a
+    breakdown), or no convergence within max_iter operator evaluations."""
 
     def __init__(self, message, residual, iterations):
         super().__init__(message)
@@ -99,7 +100,7 @@ class CoefficientBounds:
     a_star: float   # inf of 1/rho = 1/max(rho)
     a_upper: float  # sup of 1/rho = 1/min(rho)
     # every density sample equal (fields._uniform, the test that
-    # dynamics.density_rhs reads too): the operator is diagonal. Not
+    # dynamics._Stepper reads too): the operator is diagonal. Not
     # a_star == a_upper, which also holds for two adjacent doubles whose
     # reciprocals round alike.
     uniform: bool = False
@@ -314,7 +315,11 @@ def _pcg(a, bounds, s, res, pi, flux, f_norm, params, work, guessed) -> tuple[in
         p *= rz / rz_old
         p += z
         ap = _operator(a, p, z, flux_p, work)
-        step = -rz / _parseval_dot(p, ap)
+        curvature = _parseval_dot(p, ap)
+        if not 0.0 < curvature < math.inf:  # A is definite on zero-mean p; a NaN fails too
+            raise PressureSolveError(f"pressure solve broke down: curvature <p, Ap> = {curvature:.3e} "
+                                     f"after {iterations} iterations", residual, iterations)
+        step = -rz / curvature
         for x, dx in zip((res, *flux), (ap, *flux_p)):
             dx *= step
             x += dx

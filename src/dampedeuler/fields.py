@@ -193,7 +193,7 @@ def _uniform(lo: float, hi: float) -> bool:
     """Whether samples whose minimum is lo and maximum hi are all equal: an
     exact test with no tolerance (a NaN fails it). The one test of a
     constant density, read by elliptic.coefficient_bounds and
-    dynamics.density_rhs, which pass the extremes they have taken."""
+    dynamics._Stepper, which pass the extremes they have taken."""
     return bool(lo == hi)
 
 

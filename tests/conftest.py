@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dampedeuler.fields import GridSpec, ScalarField, VectorField
+from dampedeuler.dynamics import _Stepper
+from dampedeuler.fields import GridSpec, ScalarField, VectorField, gradient
 from dampedeuler.verify import random_dealiased_field
 
 
@@ -74,6 +75,22 @@ def bump_run_doc(amplitude):
             "seed": 0,
         },
     }
+
+
+def first_stage(config, state):
+    """A fresh _Stepper's first stage of state, scattered into half-lattice
+    fields: (d_t rho, d_t u, grad Pi), from the "k1" spectra and the
+    gradient of the first stage's potential. d_t rho is None at a constant
+    density, whose tendency the stepper does not form."""
+    stepper = _Stepper(config, state)
+    stepper.tendency()
+    work = stepper.work
+
+    def field(name):
+        return ScalarField(config.grid, spectrum=work.scatter(work.spectrum(name)))
+
+    d_rho = None if stepper.uniform else field("k1_rho")
+    return d_rho, VectorField(field(f"k1_{c}") for c in ("u_x", "u_y")), gradient(field("last_potential"))
 
 
 def count_transforms(monkeypatch, action) -> int:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +13,12 @@ from dampedeuler.diagnostics import (
     bkm_tail_geometric,
     energy_balance_residual,
     fit_decay_rate,
-    make_record,
     smallness_gamma0_general,
     smallness_gamma1_2d,
     smallness_gamma1_general,
 )
 from dampedeuler.config import build_sim_config, resolve_config
-from dampedeuler.dynamics import _Stepper, initial_state, pressure_gradient
+from dampedeuler.dynamics import _Stepper, initial_state
 from dampedeuler.littlewood_paley import build_filter_bank
 
 from conftest import count_transforms, traced_peak
@@ -275,10 +273,11 @@ class TestEnergyBalanceResidual:
 
 
 class TestRecordTransformCount:
-    """2-D real transforms in one make_record on the t = 0 state, on either
-    lattice (conftest.count_transforms): the Besov norms of all tracked
-    indices of u and grad Pi share one set of blocks. These are the counts
-    of the current design; lower them when a change saves transforms."""
+    """2-D real transforms in one _Stepper.record of the t = 0 state after
+    its first stage, on either lattice (conftest.count_transforms): the
+    Besov norms of all tracked indices of u and grad Pi share one set of
+    blocks. These are the counts of the current design; lower them when a
+    change saves transforms."""
 
     TG_N256 = {
         "physics": {"alpha": 0.5, "gamma": 1},
@@ -302,10 +301,10 @@ class TestRecordTransformCount:
                              ids=["tg_uniform_n256", "records_dense_n128"])
     def test_transforms_per_record(self, monkeypatch, doc, expected):
         config = build_sim_config(resolve_config(doc))
-        state = initial_state(config)
-        state = replace(state, grad_pi=pressure_gradient(state, config))
+        stepper = _Stepper(config, initial_state(config))
+        stepper.tendency()
         bank = build_filter_bank(config.grid)
-        assert count_transforms(monkeypatch, lambda: make_record(state, config, bank, None)) == expected
+        assert count_transforms(monkeypatch, lambda: stepper.record(bank, None)) == expected
 
 
 class TestRecordAllocations:

@@ -7,7 +7,7 @@ import pytest
 
 from dampedeuler import dynamics
 from dampedeuler.config import build_sim_config, resolve_config
-from dampedeuler.diagnostics import beta0, energy_balance_residual, initial_norms, make_record
+from dampedeuler.diagnostics import beta0, energy_balance_residual, initial_norms
 from dampedeuler.dynamics import (
     FluidState,
     ICRecipe,
@@ -15,11 +15,7 @@ from dampedeuler.dynamics import (
     SimConfig,
     SimulationResult,
     _Stepper,
-    density_rhs,
     initial_state,
-    momentum_rhs,
-    pressure_gradient,
-    rescaled_view,
     rho_gaussian_bump,
     rho_single_mode,
     run_simulation,
@@ -46,7 +42,7 @@ from dampedeuler.fields import (
 from dampedeuler.littlewood_paley import build_filter_bank
 from dampedeuler.verify import check_time_convergence
 
-from conftest import bump_run_doc, count_transforms, fd_gradient6, traced_peak
+from conftest import bump_run_doc, count_transforms, fd_gradient6, first_stage, traced_peak
 
 
 def tg_config(alpha=0.5, gamma=1, n=64, dt=1e-3, t_end=1.0, amplitude=1.0, **kw):
@@ -63,14 +59,15 @@ class TestTendencies:
             t=0.0, rho=ScalarField.constant(grid64, 1.0), u=VectorField.zero(grid64),
             rho_bounds=(1.0, 1.0),
         )
-        assert lp_norm(momentum_rhs(state, cfg), 2) == 0.0
-        assert lp_norm(density_rhs(state), 2) == 0.0
+        d_rho, d_u, _ = first_stage(cfg, state)
+        assert lp_norm(d_u, 2) == 0.0
+        assert d_rho is None  # a constant density: no tendency is formed
 
     def test_cellular_vortex_decays_exactly(self, grid64):
         # steady Euler flow: pressure cancels advection, leaving -alpha u
         cfg = tg_config(alpha=0.5)
         state = initial_state(cfg)
-        rhs = momentum_rhs(state, cfg)
+        _, rhs, _ = first_stage(cfg, state)
         err = lp_norm(rhs + 0.5 * state.u, math.inf)
         assert err <= 1e-12
 
@@ -78,7 +75,7 @@ class TestTendencies:
         for gamma in (0, 1):
             cfg = tg_config(alpha=0.7, gamma=gamma)
             state = initial_state(cfg)
-            rhs = momentum_rhs(state, cfg)
+            _, rhs, _ = first_stage(cfg, state)
             assert lp_norm(rhs + 0.7 * state.u, math.inf) <= 1e-12
 
     def test_density_translation(self, grid64):
@@ -86,7 +83,7 @@ class TestTendencies:
         u = VectorField.from_arrays(grid64, np.ones(grid64.shape), np.zeros(grid64.shape))
         rho = ScalarField.from_values(grid64, 1.0 + 0.1 * np.sin(x))
         state = FluidState(t=0.0, rho=rho, u=u, rho_bounds=(0.9, 1.1))
-        out = density_rhs(state)
+        out, _, _ = first_stage(tg_config(), state)
         assert np.abs(out.values + 0.1 * np.cos(x)).max() <= 1e-12
 
 
@@ -288,8 +285,9 @@ class TestLatticeCrossings:
 
 
 class TestConstantDensityIsNotTransported:
-    """density_rhs returns a zero in samples, without transport, when every
-    sample of the density is equal; any other density is transported."""
+    """A stepper does not transport a density whose samples are all equal
+    (_Stepper.uniform), whose convective transport is zero bit for bit; any
+    other density is transported at each of a step's four stages."""
 
     @staticmethod
     def state(grid, rho_values, u=None):
@@ -297,15 +295,28 @@ class TestConstantDensityIsNotTransported:
         rho = ScalarField.from_values(grid, rho_values)
         return FluidState(t=0.0, rho=rho, u=u, rho_bounds=(rho_values.min(), rho_values.max()))
 
-    def test_constant_density_gives_zero_samples(self, grid64):
+    @staticmethod
+    def transports(monkeypatch, state):
+        """_Stepper.uniform of state, and the dynamics.advect calls of one step."""
+        calls, kernel = [], dynamics.advect
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(dynamics, "advect", counted)
+        stepper = _Stepper(tg_config(n=state.rho.grid.n), state)
+        stepper.step()
+        monkeypatch.undo()
+        return stepper.uniform, len(calls)
+
+    def test_constant_density_gives_zero_samples(self, monkeypatch, grid64):
         state = self.state(grid64, np.full(grid64.shape, 1.5))
-        out = density_rhs(state)
-        assert out._spectrum is None and out._values is not None
-        assert not out.values.any()
-        assert np.array_equal(out.values, (-advect(state.u, state.rho)).values)
+        assert self.transports(monkeypatch, state) == (True, 0)
+        assert not advect(state.u, state.rho).values.any()
 
     @pytest.mark.parametrize("perturbation", ["one_ulp", "cos_1e-15"])
-    def test_nearly_constant_density_is_transported(self, grid64, perturbation):
+    def test_nearly_constant_density_is_transported(self, monkeypatch, grid64, perturbation):
         x, _ = grid64.nodes()
         values = np.ones(grid64.shape)
         if perturbation == "one_ulp":
@@ -313,9 +324,9 @@ class TestConstantDensityIsNotTransported:
         else:
             values += 1e-15 * np.cos(x)
         state = self.state(grid64, values)
-        out = density_rhs(state)
-        assert out.values.any()
-        assert np.array_equal(out.values, (-advect(state.u, state.rho)).values)
+        assert self.transports(monkeypatch, state) == (False, 4)
+        d_rho, _, _ = first_stage(tg_config(n=64), state)
+        assert d_rho.values.any()
 
     def test_uniform_step_makes_no_transport(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -433,9 +444,9 @@ class TestRunSimulation:
     def test_records_are_their_states_first_stage(self):
         # reference loop: one stepper carries the run's warm-start history
         # (last potential and stage increments) through the steps, and each
-        # record solves its own pressure on a copy of it, so that the record's
-        # solve starts from the same guess as its state's first stage; the
-        # field-level make_record forms the row from the copy's state
+        # record is made on a copy of it, so that the record's solve starts
+        # from the same guess as its state's first stage and the stepper
+        # that steps never records
         cfg = self._records_config()
         bank = build_filter_bank(cfg.grid)
         records, stepper = [], _Stepper(cfg, initial_state(cfg))
@@ -443,16 +454,15 @@ class TestRunSimulation:
             if step:
                 stepper.step()
             if step % 2 == 0 or step == 5:
-                record_solve = copy.deepcopy(stepper)
-                record_solve.tendency()
-                records.append(make_record(record_solve.state(), cfg, bank, records[-1] if records else None))
+                records.append(copy.deepcopy(stepper).record(bank, records[-1] if records else None))
         assert len(records) == 4
         assert run_simulation(cfg).records == records
 
     def test_records_match_a_cold_record_solve(self):
-        # reference loop from the public API: each record solves its own
-        # pressure and each step its first stage, cold; the warm starts of
-        # run_simulation change the answer only at the solve tolerance
+        # reference loop: each step and each record runs on a fresh stepper,
+        # so each record's solve and each step's first stage start cold; the
+        # warm starts of run_simulation change the answer only at the solve
+        # tolerance
         cfg = self._records_config()
         bank = build_filter_bank(cfg.grid)
         state = initial_state(cfg)
@@ -461,8 +471,7 @@ class TestRunSimulation:
             if step:
                 state = step_rk4(state, cfg)
             if step % 2 == 0 or step == 5:
-                state = replace(state, grad_pi=pressure_gradient(state, cfg))
-                records.append(make_record(state, cfg, bank, records[-1] if records else None))
+                records.append(_Stepper(cfg, state).record(bank, records[-1] if records else None))
         warm = run_simulation(cfg).records
         assert len(warm) == len(records) == 4
         for a, b in zip(warm, records):
@@ -586,7 +595,6 @@ class TestRecordOnTheRunWorkspace:
         stepper = _Stepper(cfg, initial_state(cfg))
         stepper.step()
         state = stepper.state()
-        state = replace(state, grad_pi=pressure_gradient(state, cfg))
         bank = build_filter_bank(cfg.grid)
         rows = []
         for cached in (False, True):
@@ -594,7 +602,7 @@ class TestRecordOnTheRunWorkspace:
             if cached:
                 for c in u.components:
                     c.values
-            rows.append(np.array(make_record(replace(state, u=u), cfg, bank, None).row()).tobytes())
+            rows.append(np.array(_Stepper(cfg, replace(state, u=u)).record(bank, None).row()).tobytes())
         assert rows[0] == rows[1]
 
     @pytest.mark.parametrize("indices", [[[1, "inf", 1]], [[0, 2, 2]]], ids=["b1_tracked", "b1_not_tracked"])
@@ -609,37 +617,14 @@ class TestRecordOnTheRunWorkspace:
 
 
 class TestRescaledView:
-    def test_zero_beta_is_identity(self, grid64):
-        cfg = tg_config()
-        state = initial_state(cfg)
-        state = FluidState(
-            t=2.0, rho=state.rho, u=state.u,
-            grad_pi=pressure_gradient(state, cfg), rho_bounds=state.rho_bounds,
-        )
-        u_r, g_r = rescaled_view(state, 0.0)
-        assert lp_norm(u_r - state.u, 2) == 0.0
-        assert lp_norm(g_r - state.grad_pi, 2) == 0.0
-
-    def test_time_zero_is_identity(self, grid64):
-        cfg = tg_config()
-        state = initial_state(cfg)
-        state = FluidState(
-            t=0.0, rho=state.rho, u=state.u,
-            grad_pi=pressure_gradient(state, cfg), rho_bounds=state.rho_bounds,
-        )
-        u_r, _ = rescaled_view(state, 3.0)
-        assert lp_norm(u_r - state.u, 2) == 0.0
+    """The exponentially compensated velocity e^{alpha t} u of the planar
+    gamma = 1 proof, read from a run's records."""
 
     def test_compensated_norm_constant_for_vortex(self):
         cfg = tg_config(alpha=0.5, n=32, dt=2e-3, t_end=2.0, record_every=20)
         res = run_simulation(cfg)
         vals = [math.exp(0.5 * r.t) * r.l2_u for r in res.records]
         assert max(vals) / min(vals) <= 1.0 + 1e-6
-
-    def test_requires_pressure_cache(self, grid64):
-        state = initial_state(tg_config())
-        with pytest.raises(ValueError):
-            rescaled_view(state, 1.0)
 
 
 class TestLinearTransport:
@@ -682,28 +667,21 @@ class TestVorticityForcing:
     def test_uniform_density_gives_zero(self, grid64):
         cfg = tg_config(alpha=0.5)
         state = initial_state(cfg)
-        out = vorticity_forcing(state, cfg)
+        _, _, grad_pi = first_stage(cfg, state)
+        out = vorticity_forcing(state.rho, grad_pi, cfg.alpha, state.t)
         assert lp_norm(out, math.inf) == 0.0
 
     def test_zero_pressure_gives_zero(self, grid64):
         rho = rho_single_mode(grid64, k=1, amplitude=0.2)
-        state = FluidState(
-            t=0.0, rho=rho, u=VectorField.zero(grid64),
-            grad_pi=VectorField.zero(grid64), rho_bounds=(0.8, 1.2),
-        )
-        out = vorticity_forcing(state, tg_config(alpha=0.5))
+        out = vorticity_forcing(rho, VectorField.zero(grid64), 0.5, 0.0)
         assert lp_norm(out, math.inf) == 0.0
 
     def test_matches_finite_difference_oracle(self, grid64):
         cfg = tg_config(alpha=0.5)
-        base = initial_state(cfg)
         rho = rho_single_mode(grid64, k=1, amplitude=0.2)
-        state = FluidState(t=0.3, rho=rho, u=base.u, rho_bounds=(0.8, 1.2))
-        grad_pi = pressure_gradient(state, cfg)
-        state = FluidState(
-            t=0.3, rho=rho, u=base.u, grad_pi=grad_pi, rho_bounds=(0.8, 1.2)
-        )
-        out = vorticity_forcing(state, cfg)
+        state = FluidState(t=0.3, rho=rho, u=initial_state(cfg).u, rho_bounds=(0.8, 1.2))
+        _, _, grad_pi = first_stage(cfg, state)
+        out = vorticity_forcing(rho, grad_pi, cfg.alpha, state.t)
 
         inv_rho = 1.0 / rho.values
         scale = math.exp(cfg.alpha * state.t)

@@ -1,10 +1,11 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dampedeuler import dynamics
+from dampedeuler import cli, dynamics, elliptic
 from dampedeuler.config import build_sim_config, resolve_config
 from dampedeuler.elliptic import (
     CONCUS_GOLUB_CONTRAST,
@@ -227,14 +228,14 @@ class TestPreconditioner:
             assert np.array_equal(preconditioner(rho, bounds)(r_hat), expected)
 
     def test_uniform_is_exact(self, grid64):
-        # an exact test with no tolerance, as in dynamics.density_rhs
+        # an exact test with no tolerance, as in dynamics._Stepper
         x, _ = grid64.nodes()
         near = ScalarField.from_values(grid64, 1.0 + 1e-15 * np.cos(x))
         assert not coefficient_bounds(near).uniform
         assert coefficient_bounds(ScalarField.constant(grid64, 1.3)).uniform
 
     def test_adjacent_doubles_with_equal_reciprocals_are_not_uniform(self, grid64):
-        # uniform reads the density samples, as dynamics.density_rhs does:
+        # uniform reads the density samples, as dynamics._Stepper does:
         # a_star == a_upper would call this density constant
         lo = 1.5000000000000002
         hi = np.nextafter(lo, 2.0)
@@ -398,19 +399,55 @@ class TestWorkingRange:
         assert (len(solve_counts), sum(solve_counts)) == (41, 156)
 
 
+class TestBreakdown:
+    """A search direction without positive curvature, which the operator,
+    definite on the zero-mean modes of the source, never gives, ends the
+    solve with a PressureSolveError that names it: a failed run, and exit
+    code 2 from run. Here the operator returns zero after its first
+    evaluation."""
+
+    MESSAGE = "pressure solve broke down: curvature <p, Ap> = 0.000e+00 after 1 iterations"
+
+    @pytest.fixture
+    def zero_operator(self, monkeypatch):
+        evaluations, operator = [], elliptic._operator
+
+        def zero_after_first(*args):
+            out = operator(*args)
+            if evaluations:
+                out.fill(0.0)
+            evaluations.append(args)
+            return out
+
+        monkeypatch.setattr(elliptic, "_operator", zero_after_first)
+
+    def test_run_fails_naming_the_breakdown(self, zero_operator):
+        result = dynamics.run_simulation(bump_run_config(3.0))
+        assert result.failure == self.MESSAGE
+        assert result.records == []
+
+    def test_cli_run_exits_2_naming_the_breakdown(self, zero_operator, tmp_path):
+        config, out = tmp_path / "bump.json", tmp_path / "out"
+        config.write_text(json.dumps(bump_run_doc(3.0)))
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert json.loads((out / "summary.json").read_text())["failure"] == self.MESSAGE
+
+
 class TestExtrapolatedGuesses:
     def test_potentials_stay_hermitian_over_300_steps(self, monkeypatch):
         # 300 steps of the bump_contrast4_n64 benchmark workload, where each
         # solve starts from an extrapolation of earlier potentials: no
         # potential may gather a part that the inverse transform cannot see.
-        # A stepper's solve leaves its potential retained; potential()
-        # scatters it into a field after each stage
+        # A stepper's solve leaves its potential retained, in the
+        # "last_potential" spectrum; it is scattered into a field after each
+        # stage
         defects = []
         evaluate = dynamics._Stepper._evaluate
 
         def checked(stepper, *args):
             evaluate(stepper, *args)
-            defects.append(hermitian_defect(stepper.potential()))
+            potential = stepper.work.scatter(stepper.work.spectrum("last_potential"))
+            defects.append(hermitian_defect(ScalarField(stepper.config.grid, spectrum=potential)))
 
         monkeypatch.setattr(dynamics._Stepper, "_evaluate", checked)
         result = dynamics.run_simulation(replace(bump_run_config(3.0), t_end=0.6))
